@@ -1,8 +1,8 @@
 """CTR prediction with knowledge distillation on a minimal tensor engine."""
 
-from .data import (Batch, EncodedDataset, EncodedSample, FeatureVocabulary,
-                   FieldSchema, RandomRatioSplit, SequentialSplit, TableSchema,
-                   batches, encode_rows, read_rows, split_rows, transform_numeric)
+from .data import (Batch, EncodedDataset, FeatureVocabulary, FieldSchema,
+                   RandomRatioSplit, SequentialSplit, TableSchema, batches,
+                   encode_rows, read_rows, split_rows, transform_numeric)
 from .distill import (DistillConfig, HintProjector, TeacherGate, bce_loss,
                       cross_entropy, ensemble_teacher_logit, gate_weights,
                       hint_loss, soft_label_loss, student_loss, uniform_weights)
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "Batch", "DistillConfig", "EarlyStopMonitor", "EncodedDataset",
-    "EncodedSample", "FeatureVocabulary", "FieldDims", "FieldSchema",
+    "FeatureVocabulary", "FieldDims", "FieldSchema",
     "HintProjector", "MetricError", "Model", "ModelSpec", "RandomRatioSplit",
     "SequentialSplit", "TableSchema", "TeacherGate", "Tensor", "TrainHyper",
     "TrainRecord", "TrainingDiverged", "auc", "batches", "bce_loss",

@@ -198,13 +198,6 @@ class FeatureVocabulary:
 
 
 @dataclass(frozen=True)
-class EncodedSample:
-    categorical: np.ndarray
-    numeric: np.ndarray
-    label: float
-
-
-@dataclass(frozen=True)
 class Batch:
     cat: np.ndarray      # (B, n_categorical) int32
     num: np.ndarray      # (B, n_numeric) float64
@@ -249,9 +242,6 @@ class EncodedDataset:
     @property
     def n_numeric(self) -> int:
         return self.num.shape[1]
-
-    def sample(self, i: int) -> EncodedSample:
-        return EncodedSample(self.cat[i].copy(), self.num[i].copy(), float(self.labels[i]))
 
     def subset(self, indices) -> "EncodedDataset":
         idx = np.asarray(indices)

@@ -1,4 +1,6 @@
-"""Optimization loops: Adam, early stopping, teacher/student training.
+"""Optimization: Adam, early stopping, and one training loop that serves
+teacher training and pretrain and cotrain distillation; the schemes differ
+only in their objectives and in what the monitor measures.
 
 Reproducibility contract: given (seed, data order, hyperparameters) every
 parameter is bitwise identical across reruns. All randomness flows through
@@ -8,7 +10,8 @@ run consumes exactly the rng draws a standalone teacher run would.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,17 +60,6 @@ class TrainHyper:
     patience: int | None = 3
     l2_embedding: float = 0.0
     kd_monitor_rows: int = 8192
-
-
-# Grids mirroring the tuning protocol; exposed for sweep tooling.
-GRID_L2 = (0.0, 1e-8, 1e-7, 1e-6, 1e-5)
-GRID_DROPOUT = (0.1, 0.2, 0.3, 0.4, 0.5)
-GRID_HIDDEN_LAYERS = (2, 3, 4, 5, 6)
-GRID_HIDDEN_UNITS = (300, 400, 500, 600)
-GRID_CROSS_CIN_DEPTH = (1, 2, 3, 4, 5)
-GRID_TAU = (1, 2, 3, 4, 5, 7, 10, 15)
-GRID_SOFT_BETA = tuple(round(0.1 * i, 1) for i in range(11))
-GRID_HINT_BETA = (0.0, 1e-6, 1e-5, 1e-4, 1e-3)
 
 
 class Adam:
@@ -137,16 +129,16 @@ class TrainRecord:
 
     def __init__(self):
         self.epochs: list[EpochStats] = []
+        # the epoch whose parameters the model ends with: the last one run,
+        # or the one an early-stop monitor restored
+        self.best_epoch = 0
 
     def append(self, stats: EpochStats) -> None:
         self.epochs.append(stats)
+        self.best_epoch = stats.epoch
 
     def __len__(self) -> int:
         return len(self.epochs)
-
-    @property
-    def best_epoch(self) -> int:
-        return max((e.epoch for e in self.epochs), default=0)
 
     @property
     def total_seconds(self) -> float:
@@ -225,6 +217,78 @@ def _check_finite(loss_value: float, epoch: int, step: int) -> None:
             "lower the learning rate or check the input scaling")
 
 
+@dataclass
+class _Objective:
+    """One model's share of each batch: ``opt`` minimizes ``loss(batch, rng)``,
+    with L2 decay on ``embed`` and ``rng`` as the model's dropout stream."""
+
+    loss: Callable[[Batch, np.random.Generator], Tensor]
+    opt: Adam
+    embed: list[Tensor]
+    rng: np.random.Generator
+
+
+def _fit(objectives: list[_Objective], train_data: EncodedDataset, hyper: TrainHyper,
+         seed: int, stop_mode: str | None = None, measure=None,
+         on_step=None) -> list[TrainRecord]:
+    """The training loop shared by every scheme; one record per objective.
+
+    Each batch steps the objectives in list order. After each epoch
+    ``measure(epoch)`` gives the monitored value; unless ``hyper.patience``
+    is None it feeds a ``stop_mode`` early-stop monitor, whose best snapshot
+    is restored at the end. ``on_step(epoch, step)`` fires after each
+    batch's updates.
+    """
+    params = [p for obj in objectives for p in obj.opt.params]
+    monitor = (EarlyStopMonitor(stop_mode, hyper.patience)
+               if measure is not None and hyper.patience is not None else None)
+    records = [TrainRecord() for _ in objectives]
+    for epoch in range(1, hyper.max_epochs + 1):
+        t0 = time.perf_counter()
+        loss_sums = [0.0] * len(objectives)
+        n_batches = 0
+        for step, batch in enumerate(batches(train_data, hyper.batch_size,
+                                             shuffle=True, seed=_batch_seed(seed, epoch))):
+            for k, obj in enumerate(objectives):
+                loss = obj.loss(batch, obj.rng)
+                value = loss.item()
+                _check_finite(value, epoch, step)
+                loss.backward()
+                _apply_l2(obj.embed, hyper.l2_embedding)
+                obj.opt.step()
+                loss_sums[k] += value
+            if on_step is not None:
+                on_step(epoch, step)
+            n_batches += 1
+
+        monitor_value = measure(epoch) if measure is not None else float("nan")
+        stop = monitor is not None and monitor.update(monitor_value, params, epoch)
+        seconds = time.perf_counter() - t0
+        for record, loss_sum in zip(records, loss_sums):
+            record.append(EpochStats(epoch, loss_sum / n_batches, monitor_value,
+                                     seconds, stop))
+        if stop:
+            break
+    if monitor is not None:
+        monitor.restore(params)
+        for record in records:
+            record.best_epoch = monitor.best_epoch
+    return records
+
+
+def _val_auc(model: Model, val_data: EncodedDataset):
+    return lambda epoch: auc(predict_dataset(model, val_data), val_data.labels)
+
+
+def _bce_objective(model: Model, hyper: TrainHyper, seed: int) -> _Objective:
+    def loss(batch: Batch, rng: np.random.Generator) -> Tensor:
+        logit, _ = model.forward(batch.cat, batch.num, training=True, rng=rng)
+        return KD.bce_loss(batch.labels, T.sigmoid(logit))
+
+    return _Objective(loss, Adam(model.parameters(), lr=hyper.lr),
+                      model.embedding_parameters(), _dropout_rng(seed, TEACHER_ROLE))
+
+
 def train_teacher(model: Model, train_data: EncodedDataset, hyper: TrainHyper,
                   seed: int, val_data: EncodedDataset | None = None,
                   on_step=None) -> TrainRecord:
@@ -232,44 +296,9 @@ def train_teacher(model: Model, train_data: EncodedDataset, hyper: TrainHyper,
 
     ``on_step(epoch, step)`` fires after each optimizer update, for tracing.
     """
-    record = TrainRecord()
-    params = model.parameters()
-    opt = Adam(params, lr=hyper.lr)
-    drop_rng = _dropout_rng(seed, TEACHER_ROLE)
-    monitor = (EarlyStopMonitor(VAL_AUC_MAX, hyper.patience)
-               if val_data is not None and hyper.patience is not None else None)
-    embed_params = model.embedding_parameters()
-
-    for epoch in range(1, hyper.max_epochs + 1):
-        t0 = time.perf_counter()
-        epoch_loss = 0.0
-        n_batches = 0
-        for step, batch in enumerate(batches(train_data, hyper.batch_size,
-                                             shuffle=True, seed=_batch_seed(seed, epoch))):
-            logit, _ = model.forward(batch.cat, batch.num, training=True, rng=drop_rng)
-            loss = KD.bce_loss(batch.labels, T.sigmoid(logit))
-            value = loss.item()
-            _check_finite(value, epoch, step)
-            loss.backward()
-            _apply_l2(embed_params, hyper.l2_embedding)
-            opt.step()
-            if on_step is not None:
-                on_step(epoch, step)
-            epoch_loss += value
-            n_batches += 1
-
-        monitor_value = float("nan")
-        stop = False
-        if val_data is not None:
-            monitor_value = auc(predict_dataset(model, val_data), val_data.labels)
-            if monitor is not None:
-                stop = monitor.update(monitor_value, params, epoch)
-        record.append(EpochStats(epoch, epoch_loss / n_batches, monitor_value,
-                                 time.perf_counter() - t0, stop))
-        if stop:
-            break
-    if monitor is not None:
-        monitor.restore(params)
+    measure = _val_auc(model, val_data) if val_data is not None else None
+    [record] = _fit([_bce_objective(model, hyper, seed)], train_data, hyper, seed,
+                    VAL_AUC_MAX, measure, on_step)
     return record
 
 
@@ -302,6 +331,39 @@ def _kd_term(dcfg: DistillConfig, teacher_logits, teacher_hints,
     return total if len(teacher_hints) == 1 else T.mul(total, 1.0 / len(teacher_hints))
 
 
+def _student_objective(student: Model, teachers: list[Model], dcfg: DistillConfig,
+                       hyper: TrainHyper, seed: int, gating: bool):
+    """CE plus the KD term against the teachers' detached outputs; returns
+    the objective with the gate and hint projectors it trains."""
+    # beta = 0 skips the KD term, so the gate/projectors would never see a
+    # gradient; leave them out to keep the trajectory identical to plain CE
+    gate = TeacherGate(len(teachers)) if gating and dcfg.beta > 0.0 else None
+    projectors = None
+    if dcfg.method == KD.HINT and dcfg.beta > 0.0:
+        proj_rng = np.random.default_rng(np.random.SeedSequence([_PROJECTOR_TAG, seed]))
+        projectors = [HintProjector(t.hint_dim, student.hint_dim, rng=proj_rng,
+                                    name=f"hintproj.{i}")
+                      for i, t in enumerate(teachers)]
+    params = student.parameters()
+    if gate is not None:
+        params += gate.parameters()
+    for proj in projectors or ():
+        params += proj.parameters()
+    need_hints = dcfg.method == KD.HINT
+
+    def loss(batch: Batch, rng: np.random.Generator) -> Tensor:
+        s_logit, s_hint = student.forward(batch.cat, batch.num, training=True, rng=rng)
+        kd = None  # beta = 0: skip teacher inference entirely
+        if dcfg.beta != 0.0:
+            z_list, h_list = _teacher_outputs(teachers, batch.cat, batch.num, need_hints)
+            kd = _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors)
+        return KD.student_loss(batch.labels, T.sigmoid(s_logit), kd, dcfg.beta, dcfg.gamma)
+
+    objective = _Objective(loss, Adam(params, lr=hyper.lr), student.embedding_parameters(),
+                           _dropout_rng(seed, STUDENT_ROLE))
+    return objective, gate, projectors
+
+
 @dataclass
 class DistillResult:
     record: TrainRecord
@@ -328,73 +390,25 @@ def train_student_pretrain(student: Model, teachers: list[Model],
     if stop_mode == VAL_AUC_MAX and val_data is None:
         raise ValueError("val_auc_max stopping requires validation data")
 
-    # beta = 0 skips the KD term, so the gate/projectors would never see a
-    # gradient; leave them out to keep the trajectory identical to plain CE
-    gate = TeacherGate(len(teachers)) if dcfg.gating and dcfg.beta > 0.0 else None
-    projectors = None
-    if dcfg.method == KD.HINT and dcfg.beta > 0.0:
-        proj_rng = np.random.default_rng(np.random.SeedSequence([_PROJECTOR_TAG, seed]))
-        projectors = [HintProjector(t.hint_dim, student.hint_dim, rng=proj_rng,
-                                    name=f"hintproj.{i}")
-                      for i, t in enumerate(teachers)]
-
-    params = student.parameters()
-    if gate is not None:
-        params += gate.parameters()
-    if projectors is not None:
-        for proj in projectors:
-            params += proj.parameters()
-    opt = Adam(params, lr=hyper.lr)
-    drop_rng = _dropout_rng(seed, STUDENT_ROLE)
-    monitor = EarlyStopMonitor(stop_mode, hyper.patience) if hyper.patience is not None else None
-    embed_params = student.embedding_parameters()
-    need_hints = dcfg.method == KD.HINT
-    record = TrainRecord()
-
-    def kd_value_on(cat, num) -> float:
-        z_list, h_list = _teacher_outputs(teachers, cat, num, need_hints)
-        s_logit, s_hint = student.forward(cat, num, training=False)
-        return _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors).item()
-
-    for epoch in range(1, hyper.max_epochs + 1):
-        t0 = time.perf_counter()
-        epoch_loss = 0.0
-        n_batches = 0
-        for step, batch in enumerate(batches(train_data, hyper.batch_size,
-                                             shuffle=True, seed=_batch_seed(seed, epoch))):
-            s_logit, s_hint = student.forward(batch.cat, batch.num,
-                                              training=True, rng=drop_rng)
-            if dcfg.beta == 0.0:
-                kd = None  # skip teacher inference entirely
-            else:
-                z_list, h_list = _teacher_outputs(teachers, batch.cat, batch.num, need_hints)
-                kd = _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors)
-            loss = KD.student_loss(batch.labels, T.sigmoid(s_logit), kd,
-                                   dcfg.beta, dcfg.gamma)
-            value = loss.item()
-            _check_finite(value, epoch, step)
-            loss.backward()
-            _apply_l2(embed_params, hyper.l2_embedding)
-            opt.step()
-            epoch_loss += value
-            n_batches += 1
-
-        if stop_mode == KD_LOSS_MIN:
+    objective, gate, projectors = _student_objective(student, teachers, dcfg, hyper, seed,
+                                                     dcfg.gating)
+    if stop_mode == KD_LOSS_MIN:
+        def measure(epoch: int) -> float:
             # unlabeled monitoring slice of training inputs, refreshed per epoch
             n = len(train_data)
             rows = min(hyper.kd_monitor_rows, n)
             idx = _monitor_rng(seed, epoch).choice(n, size=rows, replace=False)
-            monitor_value = kd_value_on(train_data.cat[idx], train_data.num[idx])
-        else:
-            monitor_value = auc(predict_dataset(student, val_data), val_data.labels)
-
-        stop = monitor.update(monitor_value, params, epoch) if monitor is not None else False
-        record.append(EpochStats(epoch, epoch_loss / n_batches, monitor_value,
-                                 time.perf_counter() - t0, stop))
-        if stop:
-            break
-    if monitor is not None:
-        monitor.restore(params)
+            cat, num = train_data.cat[idx], train_data.num[idx]
+            # Teachers first: the student's eval forward builds a graph over
+            # the whole slice, and keeping it alive through the teacher
+            # forwards raised the benchmark's cli_pipeline peak RSS from
+            # 238 MB to 274 MB.
+            z_list, h_list = _teacher_outputs(teachers, cat, num, dcfg.method == KD.HINT)
+            s_logit, s_hint = student.forward(cat, num, training=False)
+            return _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors).item()
+    else:
+        measure = _val_auc(student, val_data)
+    [record] = _fit([objective], train_data, hyper, seed, stop_mode, measure)
     return DistillResult(record, gate, projectors)
 
 
@@ -406,64 +420,12 @@ def train_student_cotrain(teacher: Model, student: Model, dcfg: DistillConfig,
     detached inference outputs. The teacher's trajectory is bit-identical
     to a standalone run at the same seed and batch order.
 
-    ``on_step(epoch, step)`` fires after the teacher's optimizer update,
-    before the student half of the batch."""
+    ``on_step(epoch, step)`` fires after both optimizer updates of a batch;
+    the student's update leaves the teacher's parameters untouched."""
     if teacher.dims != student.dims:
         raise ValueError("teacher and student were built for different field schemas")
-    t_params = teacher.parameters()
-    s_params = student.parameters()
-    opt_t = Adam(t_params, lr=hyper.lr)
-    opt_s = Adam(s_params, lr=hyper.lr)
-    rng_t = _dropout_rng(seed, TEACHER_ROLE)
-    rng_s = _dropout_rng(seed, STUDENT_ROLE)
-    t_embed = teacher.embedding_parameters()
-    s_embed = student.embedding_parameters()
-    need_hints = dcfg.method == KD.HINT and dcfg.beta > 0.0
-    projector = (HintProjector(teacher.hint_dim, student.hint_dim,
-                               rng=np.random.default_rng(
-                                   np.random.SeedSequence([_PROJECTOR_TAG, seed])))
-                 if need_hints else None)
-    if projector is not None:
-        opt_s = Adam(s_params + projector.parameters(), lr=hyper.lr)
-
-    t_record, s_record = TrainRecord(), TrainRecord()
-    for epoch in range(1, hyper.max_epochs + 1):
-        t0 = time.perf_counter()
-        t_loss_sum = s_loss_sum = 0.0
-        n_batches = 0
-        for step, batch in enumerate(batches(train_data, hyper.batch_size,
-                                             shuffle=True, seed=_batch_seed(seed, epoch))):
-            # teacher step on its own supervised loss
-            t_logit, _ = teacher.forward(batch.cat, batch.num, training=True, rng=rng_t)
-            t_loss = KD.bce_loss(batch.labels, T.sigmoid(t_logit))
-            t_value = t_loss.item()
-            _check_finite(t_value, epoch, step)
-            t_loss.backward()
-            _apply_l2(t_embed, hyper.l2_embedding)
-            opt_t.step()
-            if on_step is not None:
-                on_step(epoch, step)
-
-            # student step against the current teacher, outputs detached
-            z_list, h_list = _teacher_outputs([teacher], batch.cat, batch.num, need_hints)
-            s_logit, s_hint = student.forward(batch.cat, batch.num, training=True, rng=rng_s)
-            if dcfg.beta == 0.0:
-                kd = None
-            else:
-                kd = _kd_term(dcfg, z_list, h_list, s_logit, s_hint, None,
-                              [projector] if projector is not None else None)
-            s_loss = KD.student_loss(batch.labels, T.sigmoid(s_logit), kd,
-                                     dcfg.beta, dcfg.gamma)
-            s_value = s_loss.item()
-            _check_finite(s_value, epoch, step)
-            s_loss.backward()
-            _apply_l2(s_embed, hyper.l2_embedding)
-            opt_s.step()
-
-            t_loss_sum += t_value
-            s_loss_sum += s_value
-            n_batches += 1
-        dt = time.perf_counter() - t0
-        t_record.append(EpochStats(epoch, t_loss_sum / n_batches, float("nan"), dt, False))
-        s_record.append(EpochStats(epoch, s_loss_sum / n_batches, float("nan"), dt, False))
+    student_objective, _, _ = _student_objective(student, [teacher], dcfg, hyper, seed,
+                                                 gating=False)
+    t_record, s_record = _fit([_bce_objective(teacher, hyper, seed), student_objective],
+                              train_data, hyper, seed, on_step=on_step)
     return t_record, s_record

@@ -1,0 +1,59 @@
+"""The benchmark's layer trace still hooks into the training code.
+
+``perfbench/spans.py`` wraps module and class attributes that the training
+loop looks up at call time. If a rename or a refactor moves one of those
+lookups, a traced benchmark run breaks or silently counts nothing; this
+test turns that into a tier-1 failure.
+"""
+import math
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+import ctrkd.train  # noqa: E402
+import spans  # noqa: E402
+from ctrkd.distill import DistillConfig  # noqa: E402
+from ctrkd.models import FieldDims, Model, ModelSpec  # noqa: E402
+from ctrkd.synth import synthetic_dataset  # noqa: E402
+from ctrkd.train import TrainHyper  # noqa: E402
+
+
+def test_traced_training_counts_match_the_bench_formulas():
+    ds, _ = synthetic_dataset(1000, seed=0)
+    dims = FieldDims((50,) * 6, 2)
+    train, val = ds.subset(np.arange(900)), ds.subset(np.arange(900, 1000))
+    # patience = max_epochs: the monitors run but cannot cut the epoch budget
+    hyper = TrainHyper(lr=3e-3, batch_size=400, max_epochs=2, patience=2,
+                       kd_monitor_rows=300)
+    teacher = Model(ModelSpec.deepfm((8,), embedding_dim=4), dims, seed=1)
+    student = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=2)
+    dcfg = DistillConfig(tau=1.0, beta=0.5, gamma=0.5, gating=True)
+
+    tracer = spans.Tracer("test")
+    tracer.install()
+    saved = list(tracer._saved)
+    try:
+        ctrkd.train.train_teacher(teacher, train, hyper, 1, val_data=val)
+        ctrkd.train.train_student_pretrain(student, [teacher], dcfg, train, hyper, 2)
+    finally:
+        tracer.uninstall()
+
+    for owner, attr, original in saved:
+        assert owner.__dict__[attr] is original, f"{attr} left wrapped"
+    epochs, rows = hyper.max_epochs, len(train)
+    batches = 2 * epochs * math.ceil(rows / hyper.batch_size)
+    assert tracer.counts() == {
+        "epochs": 2 * epochs,
+        "rows_trained": 2 * epochs * rows,
+        "batches": batches,
+        "backward_calls": batches,
+        "teacher_rows_inferred": epochs * 1 * (rows + hyper.kd_monitor_rows),
+    }
+    names = {s["name"] for s in tracer.spans}
+    assert {"train.train_teacher", "train.train_student_pretrain", "data.batches.wait",
+            "train.adam_step", "train.early_stop_update", "models.predict",
+            "metrics.auc"} <= names

@@ -219,14 +219,6 @@ def test_label_read_counter():
     assert ds.label_reads == 2
 
 
-def test_sample_accessor():
-    ds = _dataset(5)
-    s = ds.sample(3)
-    assert s.categorical.tolist() == [0]
-    assert s.label == 1.0
-    assert s.numeric.shape == (1,)
-
-
 def test_dataset_npz_roundtrip(tmp_path):
     ds = _dataset(12)
     path = tmp_path / "part.npz"

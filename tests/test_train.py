@@ -166,6 +166,19 @@ def test_teacher_training_deterministic():
         np.testing.assert_array_equal(s1[name], s2[name])
 
 
+def test_best_epoch_is_the_restored_epoch():
+    ds, dims = small_synth(1500)
+    train, val = ds.subset(range(1200)), ds.subset(range(1200, 1500))
+    model = Model(ModelSpec.fm(4), dims, seed=5)
+    record = train_teacher(model, train, TrainHyper(lr=3e-2, batch_size=300, max_epochs=10,
+                                                    patience=1), seed=5, val_data=val)
+    monitors = [e.monitor for e in record.epochs]
+    assert record.epochs[-1].stopped and len(record) < 10
+    assert record.best_epoch == 1 + int(np.argmax(monitors)) < len(record)
+    # the parameters the model ends with are that epoch's
+    assert auc(predict_dataset(model, val), val.labels) == max(monitors)
+
+
 def test_teacher_divergence_detected():
     ds, dims = small_synth(500)
     model = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=0)
@@ -212,21 +225,38 @@ def test_train_record_csv(tmp_path):
 
 # -- distillation loops -------------------------------------------------------
 
+def trace(record):
+    return [(e.epoch, e.loss, e.monitor, e.stopped) for e in record.epochs]
+
+
 def test_pretrain_beta_zero_matches_plain_training_bitwise():
     ds, dims = small_synth(1600)
-    hyper = TrainHyper(lr=3e-3, batch_size=400, max_epochs=3, patience=None)
+    val, _ = small_synth(400, seed=1)
     teacher = Model(ModelSpec.fm(4), dims, seed=1)
+    # val_auc_max runs stop early, so the plain and KD monitors must restore alike
+    cases = [("soft_label", KD_LOSS_MIN,
+              TrainHyper(lr=3e-3, batch_size=400, max_epochs=3, patience=None)),
+             ("soft_label", VAL_AUC_MAX,
+              TrainHyper(lr=3e-2, batch_size=400, max_epochs=8, patience=1)),
+             ("hint", VAL_AUC_MAX,
+              TrainHyper(lr=3e-2, batch_size=400, max_epochs=8, patience=1))]
+    for method, stop_mode, hyper in cases:
+        val_data = val if stop_mode == VAL_AUC_MAX else None
+        plain = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=2)
+        plain_record = train_teacher(plain, ds, hyper, seed=7, val_data=val_data)
 
-    plain = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=2)
-    train_teacher(plain, ds, hyper, seed=7)
+        via_kd = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=2)
+        dcfg = DistillConfig(method=method, tau=1.0, beta=0.0, gamma=1.0)
+        res = train_student_pretrain(via_kd, [teacher], dcfg, ds, hyper, seed=7,
+                                     val_data=val_data, stop_mode=stop_mode)
 
-    via_kd = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=2)
-    dcfg = DistillConfig(method="soft_label", tau=1.0, beta=0.0, gamma=1.0)
-    train_student_pretrain(via_kd, [teacher], dcfg, ds, hyper, seed=7)
-
-    ps, ks = plain.state(), via_kd.state()
-    for name in ps:
-        np.testing.assert_array_equal(ps[name], ks[name])
+        ps, ks = plain.state(), via_kd.state()
+        for name in ps:
+            np.testing.assert_array_equal(ps[name], ks[name])
+        if val_data is not None:
+            assert plain_record.epochs[-1].stopped
+            assert trace(res.record) == trace(plain_record)
+            assert res.record.best_epoch == plain_record.best_epoch
 
 
 def test_pretrain_rejects_schema_mismatch_and_empty_teachers():
@@ -279,32 +309,48 @@ def test_single_teacher_gating_equals_no_gating_trajectory():
     train_teacher(teacher, ds, TrainHyper(max_epochs=2, patience=None), seed=4)
     hyper = TrainHyper(lr=3e-3, batch_size=500, max_epochs=3, patience=None)
 
-    def distill(gating):
+    val, _ = small_synth(400, seed=1)
+
+    def distill(gating, stop_mode):
         student = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=6)
         dcfg = DistillConfig(tau=2.0, beta=0.6, gamma=0.4, gating=gating)
-        res = train_student_pretrain(student, [teacher], dcfg, ds, hyper, seed=6)
+        res = train_student_pretrain(student, [teacher], dcfg, ds, hyper, seed=6,
+                                     val_data=val, stop_mode=stop_mode)
         return student.state(), res
 
-    gated, res_g = distill(True)
-    plain, _ = distill(False)
-    for name in gated:
-        np.testing.assert_array_equal(gated[name], plain[name])
-    # the single-teacher gate stays at its neutral initialization
-    np.testing.assert_array_equal(res_g.gate.w[0].values, [[1.0]])
-    np.testing.assert_array_equal(res_g.gate.b[0].values, [[0.0]])
+    for stop_mode in (KD_LOSS_MIN, VAL_AUC_MAX):
+        gated, res_g = distill(True, stop_mode)
+        plain, res_p = distill(False, stop_mode)
+        for name in gated:
+            np.testing.assert_array_equal(gated[name], plain[name])
+        assert trace(res_g.record) == trace(res_p.record)
+        # the single-teacher gate stays at its neutral initialization
+        np.testing.assert_array_equal(res_g.gate.w[0].values, [[1.0]])
+        np.testing.assert_array_equal(res_g.gate.b[0].values, [[0.0]])
 
 
 def test_hint_distillation_trains_projector():
     ds, dims = small_synth(1000)
     teacher = Model(ModelSpec.deepfm((12, 6), embedding_dim=4), dims, seed=2)
     train_teacher(teacher, ds, TrainHyper(max_epochs=1, patience=None), seed=2)
-    student = Model(ModelSpec.dnn((8, 5), embedding_dim=4), dims, seed=3)
     dcfg = DistillConfig(method="hint", beta=1e-3, gamma=1.0)
-    res = train_student_pretrain(student, [teacher], dcfg, ds,
-                                 TrainHyper(max_epochs=2, patience=None), seed=3)
+
+    def distill():
+        student = Model(ModelSpec.dnn((8, 5), embedding_dim=4), dims, seed=3)
+        res = train_student_pretrain(student, [teacher], dcfg, ds,
+                                     TrainHyper(max_epochs=2, patience=None), seed=3)
+        return student.state(), res
+
+    state, res = distill()
     proj = res.projectors[0]
     assert proj.w.shape == (5, 6)  # student dim x teacher dim
     assert not np.array_equal(proj.w.values, np.zeros((5, 6)))
+    # a rerun is bitwise identical, projector and trace included
+    state2, res2 = distill()
+    for name in state:
+        np.testing.assert_array_equal(state[name], state2[name])
+    np.testing.assert_array_equal(proj.w.values, res2.projectors[0].w.values)
+    assert trace(res.record) == trace(res2.record)
 
 
 def test_hint_distillation_from_heterogeneous_teachers():
