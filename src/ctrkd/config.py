@@ -3,6 +3,9 @@
 A config fully determines a run given the input files. Unknown keys are
 rejected so stale option names fail loudly instead of silently using
 defaults. Relative paths resolve against the config file's directory.
+
+The ``key = value`` codec here (``parse_kv``/``format_kv``) is also the
+one that checkpoint text sections and ``data_meta.txt`` use.
 """
 from __future__ import annotations
 
@@ -18,6 +21,29 @@ from .train import TrainHyper
 
 class ConfigError(ValueError):
     pass
+
+
+def parse_kv(text: str) -> dict[str, str]:
+    """``key = value`` lines to a dict: keys and values are stripped, blank
+    and ``#`` lines are skipped, and a duplicate key is an error."""
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key, value = stripped.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
+def format_kv(pairs) -> str:
+    """One ``key = value`` line per (key, value) pair, in the given order."""
+    return "".join(f"{k} = {v}\n" for k, v in pairs)
 
 
 def _bool(raw: str) -> bool:
@@ -300,24 +326,11 @@ class ExperimentConfig:
         return self.resolve_path("output.dir")
 
     def serialize(self) -> str:
-        lines = [f"{k} = {self.raw[k]}" for k in sorted(self.raw)]
-        return "\n".join(lines) + "\n"
+        return format_kv(sorted(self.raw.items()))
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-    return ExperimentConfig(raw, base_dir)
+    return ExperimentConfig(parse_kv(text), base_dir)
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:

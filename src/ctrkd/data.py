@@ -69,12 +69,6 @@ class TableSchema:
                    for i in range(n_categorical)]
         return cls(0, fields, delimiter="\t")
 
-    @classmethod
-    def avazu(cls, n_categorical: int = 22) -> "TableSchema":
-        # id, click, then categorical fields, comma-separated; id is ignored
-        fields = [FieldSchema(f"C{i + 1}", CATEGORICAL, 2 + i) for i in range(n_categorical)]
-        return cls(1, fields, delimiter=",")
-
 
 def read_rows(path, delimiter: str = "\t") -> list[list[str]]:
     """Read a delimited text file (gzip by .gz suffix) into column lists."""
@@ -98,10 +92,13 @@ def transform_numeric(x):
 
 
 def _parse_numeric(token: str) -> float:
-    # missing and negative raw values map to 0 before the transform
+    # missing and negative raw values map to 0 before the transform;
+    # nan and +-inf are errors
     if token == "":
         return 0.0
     value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite numeric value {token!r}")
     return 0.0 if value < 0 else value
 
 
@@ -274,7 +271,11 @@ def encode_rows(rows: Sequence[Sequence[str]], schema: TableSchema,
     cat = np.zeros((n, len(cat_fields)), dtype=np.int32)
     num = np.zeros((n, len(num_fields)), dtype=np.float64)
     labels = np.zeros(n, dtype=np.float64)
+    width = schema.n_columns
     for i, row in enumerate(rows):
+        if len(row) < width:
+            raise ValueError(f"row {i} has {len(row)} columns, schema needs {width}: "
+                             f"column {len(row)} is missing")
         raw_label = row[schema.label_column]
         if raw_label not in ("0", "1"):
             raise ValueError(f"row {i}: label {raw_label!r} is not binary")
@@ -282,7 +283,11 @@ def encode_rows(rows: Sequence[Sequence[str]], schema: TableSchema,
         for j, f in enumerate(cat_fields):
             cat[i, j] = vocab.index(f.name, row[f.position])
         for j, f in enumerate(num_fields):
-            num[i, j] = transform_numeric(_parse_numeric(row[f.position]))
+            try:
+                value = _parse_numeric(row[f.position])
+            except ValueError as err:
+                raise ValueError(f"row {i}, column {f.position}: {err}") from None
+            num[i, j] = transform_numeric(value)
     return EncodedDataset(cat, num, labels)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .config import ExperimentConfig, parse_config_text
+from .config import ExperimentConfig, format_kv, parse_config_text, parse_kv
 from .data import (EncodedDataset, FeatureVocabulary, RandomRatioSplit,
                    encode_rows, read_rows, split_rows)
 from .metrics import auc, logloss
@@ -68,29 +68,12 @@ class DataArtifacts:
 
     @classmethod
     def load(cls, outdir: str) -> "DataArtifacts":
-        meta = _read_kv(os.path.join(outdir, "data_meta.txt"))
-        dims = FieldDims(tuple(int(x) for x in meta["vocab_sizes"].split(",") if x),
-                         int(meta["n_numeric"]))
-        return cls(dims=dims, fingerprint=meta["fingerprint"],
+        with open(os.path.join(outdir, "data_meta.txt"), "r", encoding="utf-8") as f:
+            meta = parse_kv(f.read())
+        return cls(dims=FieldDims.from_kv(meta), fingerprint=meta["fingerprint"],
                    train=EncodedDataset.load_npz(os.path.join(outdir, "train.npz")),
                    val=EncodedDataset.load_npz(os.path.join(outdir, "val.npz")),
                    test=EncodedDataset.load_npz(os.path.join(outdir, "test.npz")))
-
-
-def _read_kv(path: str) -> dict[str, str]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                k, v = line.rstrip("\n").split(" = ", 1)
-                out[k] = v
-    return out
-
-
-def _write_kv(path: str, kv: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for k, v in kv.items():
-            f.write(f"{k} = {v}\n")
 
 
 def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
@@ -107,15 +90,13 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
     for name, ds in zip(("train", "val", "test"), datasets):
         ds.save_npz(os.path.join(outdir, f"{name}.npz"))
     dims = FieldDims(vocab.sizes(), len(schema.numeric_fields))
-    _write_kv(os.path.join(outdir, "data_meta.txt"), {
-        "vocab_sizes": ",".join(str(v) for v in dims.vocab_sizes),
-        "n_numeric": str(dims.n_numeric),
-        "fingerprint": vocab.fingerprint(),
-        "rows_train": str(len(datasets[0])),
-        "rows_val": str(len(datasets[1])),
-        "rows_test": str(len(datasets[2])),
-    })
-    return DataArtifacts(dims, vocab.fingerprint(), *datasets)
+    fingerprint = vocab.fingerprint()
+    meta = [*dims.to_kv().items(), ("fingerprint", fingerprint),
+            ("rows_train", len(datasets[0])), ("rows_val", len(datasets[1])),
+            ("rows_test", len(datasets[2]))]
+    with open(os.path.join(outdir, "data_meta.txt"), "w", encoding="utf-8") as f:
+        f.write(format_kv(meta))
+    return DataArtifacts(dims, fingerprint, *datasets)
 
 
 def _teacher_dir(outdir: str) -> str:

@@ -27,6 +27,10 @@ WIDE_KINDS = ("none", "lr", "fm", "cross", "cin")
 ACTIVATIONS = ("relu", "sigmoid")
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x != "")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative architecture: which wide part, deep sizes, embedding dim."""
@@ -110,12 +114,10 @@ class ModelSpec:
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "ModelSpec":
-        def ints(s):
-            return tuple(int(x) for x in s.split(",") if x != "")
-        return cls(wide=kv["wide"], deep=ints(kv["deep"]),
+        return cls(wide=kv["wide"], deep=_ints(kv["deep"]),
                    embedding_dim=int(kv["embedding_dim"]),
                    cross_layers=int(kv["cross_layers"]),
-                   cin_maps=ints(kv["cin_maps"]) or (4,),
+                   cin_maps=_ints(kv["cin_maps"]) or (4,),
                    dropout=float(kv["dropout"]),
                    activation=kv.get("activation", "relu"))
 
@@ -157,6 +159,15 @@ class FieldDims:
         if self.n_numeric < 0:
             raise ValueError("n_numeric must be >= 0")
 
+    # -- checkpoint/data_meta serialization -------------------------------
+    def to_kv(self) -> dict[str, str]:
+        return {"vocab_sizes": ",".join(str(v) for v in self.vocab_sizes),
+                "n_numeric": str(self.n_numeric)}
+
+    @classmethod
+    def from_kv(cls, kv: dict[str, str]) -> "FieldDims":
+        return cls(_ints(kv["vocab_sizes"]), int(kv["n_numeric"]))
+
 
 def _xavier(rng, fan_in, fan_out, shape):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -166,11 +177,9 @@ def _xavier(rng, fan_in, fan_out, shape):
 class Model:
     """One zoo instance: parameters plus the forward graph builders."""
 
-    def __init__(self, spec: ModelSpec, dims: FieldDims, seed: int = 0,
-                 dtype=np.float64):
+    def __init__(self, spec: ModelSpec, dims: FieldDims, seed: int = 0):
         self.spec = spec
         self.dims = dims
-        self.dtype = np.dtype(dtype)
         n_cat = len(dims.vocab_sizes)
         if spec.needs_embeddings and n_cat + dims.n_numeric == 0:
             raise ValueError("model needs at least one input field")
@@ -240,16 +249,13 @@ class Model:
             self.mlp_head_b = self._param("mlp.head.b", np.zeros((1, 1)))
 
     def _param(self, name: str, values) -> Tensor:
-        t = T.parameter(np.asarray(values, dtype=self.dtype), name=name)
+        t = T.parameter(values, name=name)
         self._params.append(t)
         return t
 
     # -- parameter access -------------------------------------------------
     def parameters(self) -> list[Tensor]:
         return list(self._params)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(p.name, p) for p in self._params]
 
     def embedding_parameters(self) -> list[Tensor]:
         """The feature-embedding parameters, the only L2-regularized ones."""
@@ -424,7 +430,7 @@ class Model:
             missing = names ^ set(state)
             raise ValueError(f"parameter names do not match checkpoint: {sorted(missing)}")
         for p in self._params:
-            src = np.asarray(state[p.name], dtype=self.dtype)
+            src = np.asarray(state[p.name], dtype=np.float64)
             if src.shape != p.values.shape:
                 raise ValueError(f"shape mismatch for {p.name}: "
                                  f"{src.shape} vs {p.values.shape}")

@@ -7,27 +7,29 @@ Byte layout (all integers little-endian):
     then named sections, each:
         u16 name length, name utf-8, u64 payload length, payload
 
-Sections: ``spec`` (model architecture as canonical key=value text),
-``fields`` (input geometry), ``meta`` (seed, epoch, vocabulary
-fingerprint), ``tensors`` (named little-endian arrays with shape
-prefixes), optionally ``adam`` (optimizer moments). The whole file is
-parsed and validated before any model is constructed, so a truncated or
-corrupt file never yields a partial model.
+Sections: ``spec`` (model architecture), ``fields`` (input geometry) and
+``meta`` (seed, epoch, vocabulary fingerprint) as sorted ``key = value``
+text, then ``tensors`` (named float64 arrays with shape prefixes). Sections
+with other names are skipped, so files from writers that stored more (such
+as optimizer moments) still load. The whole file is parsed and validated before any model is
+constructed, so a truncated or corrupt file never yields a partial model.
 """
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import format_kv, parse_kv
 from .models import FieldDims, Model, ModelSpec
 
 MAGIC = b"CTRKDCP\x01"
 VERSION = 1
 
-_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_F64 = np.dtype("<f8")
+_F64_CODE = 0  # the only tensor dtype code; the byte stays in the layout
 
 
 class CheckpointError(Exception):
@@ -46,34 +48,18 @@ class FingerprintMismatchError(CheckpointError):
     pass
 
 
-def _kv_text(kv: dict[str, str]) -> bytes:
-    return "".join(f"{k} = {v}\n" for k, v in sorted(kv.items())).encode("utf-8")
-
-
-def _parse_kv(raw: bytes) -> dict[str, str]:
-    out = {}
-    for line in raw.decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        if " = " not in line:
-            raise CorruptCheckpointError(f"malformed key=value line {line!r}")
-        k, v = line.split(" = ", 1)
-        out[k] = v
-    return out
-
-
 def _pack_tensors(named: dict[str, np.ndarray]) -> bytes:
     parts = [struct.pack("<I", len(named))]
     for name, arr in named.items():
         encoded = name.encode("utf-8")
         arr = np.ascontiguousarray(arr)
-        if arr.dtype not in _DTYPE_CODES:
+        if arr.dtype != np.float64:
             raise CheckpointError(f"unsupported tensor dtype {arr.dtype} for {name}")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
-        parts.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
+        parts.append(struct.pack("<BB", _F64_CODE, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        parts.append(arr.astype(_F64, copy=False).tobytes())
     return b"".join(parts)
 
 
@@ -92,6 +78,13 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def name(self) -> str:
+        (n,) = self.unpack("<H")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpointError("section or tensor name is not utf-8") from None
+
     @property
     def exhausted(self) -> bool:
         return self.pos == len(self.raw)
@@ -102,16 +95,16 @@ def _unpack_tensors(raw: bytes) -> dict[str, np.ndarray]:
     (count,) = r.unpack("<I")
     out = {}
     for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.name()
         code, ndim = r.unpack("<BB")
-        if code not in _CODE_DTYPES:
+        if code != _F64_CODE:
             raise CorruptCheckpointError(f"unknown dtype code {code}")
         shape = r.unpack(f"<{ndim}Q")
-        dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(r.take(nbytes), dtype=dtype.newbyteorder("<"))
-        out[name] = arr.astype(dtype).reshape(shape)
+        arr = np.frombuffer(r.take(math.prod(shape) * _F64.itemsize), dtype=_F64)
+        try:
+            out[name] = arr.reshape(shape).astype(np.float64)
+        except ValueError:  # too many or too large dimensions
+            raise CorruptCheckpointError(f"bad shape {shape} for tensor {name!r}") from None
     if not r.exhausted:
         raise CorruptCheckpointError("trailing bytes in tensor section")
     return out
@@ -121,12 +114,10 @@ def _unpack_tensors(raw: bytes) -> dict[str, np.ndarray]:
 class Checkpoint:
     spec: ModelSpec
     dims: FieldDims
-    tensors: dict[str, np.ndarray]
-    adam: tuple[int, dict[str, np.ndarray], dict[str, np.ndarray]] | None = None
+    tensors: dict[str, np.ndarray]  # every tensor in the file: parameters and extras
     seed: int = 0
     epoch: int = 0
     vocab_fingerprint: str = ""
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
 
     def build_model(self, expected_fingerprint: str | None = None) -> Model:
         if expected_fingerprint is not None and expected_fingerprint != self.vocab_fingerprint:
@@ -134,36 +125,31 @@ class Checkpoint:
                 f"checkpoint was built against vocabulary {self.vocab_fingerprint[:12]}..., "
                 f"got {expected_fingerprint[:12]}...")
         model = Model(self.spec, self.dims, seed=0)
-        model.load_state(self.tensors)
+        names = [p.name for p in model.parameters()]
+        missing = [n for n in names if n not in self.tensors]
+        if missing:
+            raise CorruptCheckpointError(f"checkpoint lacks parameters {missing}")
+        try:
+            model.load_state({n: self.tensors[n] for n in names})
+        except ValueError as err:  # the tensors do not fit the spec and fields
+            raise CorruptCheckpointError(str(err)) from None
         return model
 
 
-def save(path, model: Model, *, adam=None, seed: int = 0, epoch: int = 0,
+def save(path, model: Model, *, seed: int = 0, epoch: int = 0,
          vocab_fingerprint: str = "", extras: dict[str, np.ndarray] | None = None) -> None:
     """Write a checkpoint; identical models produce identical bytes."""
-    sections: list[tuple[str, bytes]] = []
-    sections.append(("spec", _kv_text(model.spec.to_kv())))
-    sections.append(("fields", _kv_text({
-        "vocab_sizes": ",".join(str(v) for v in model.dims.vocab_sizes),
-        "n_numeric": str(model.dims.n_numeric),
-    })))
-    sections.append(("meta", _kv_text({
-        "seed": str(seed),
-        "epoch": str(epoch),
-        "vocab_fingerprint": vocab_fingerprint,
-    })))
+    meta = {"seed": str(seed), "epoch": str(epoch), "vocab_fingerprint": vocab_fingerprint}
+    sections = [(name, format_kv(sorted(kv.items())).encode("utf-8"))
+                for name, kv in (("spec", model.spec.to_kv()),
+                                 ("fields", model.dims.to_kv()),
+                                 ("meta", meta))]
     tensors = {p.name: p.values for p in model.parameters()}
     for name in extras or {}:
         if name in tensors:
             raise CheckpointError(f"extra tensor name {name!r} collides with a parameter")
     tensors.update(extras or {})
     sections.append(("tensors", _pack_tensors(tensors)))
-    if adam is not None:
-        t, m, v = adam.state() if hasattr(adam, "state") else adam
-        payload = struct.pack("<Q", t)
-        payload += _pack_tensors({f"m.{k}": arr for k, arr in m.items()})
-        payload += _pack_tensors({f"v.{k}": arr for k, arr in v.items()})
-        sections.append(("adam", payload))
 
     blob = [MAGIC, struct.pack("<I", VERSION)]
     for name, payload in sections:
@@ -188,56 +174,21 @@ def load(path) -> Checkpoint:
         raise VersionMismatchError(f"checkpoint version {version}, expected {VERSION}")
     sections: dict[str, bytes] = {}
     while not r.exhausted:
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.name()
         (payload_len,) = r.unpack("<Q")
         sections[name] = r.take(payload_len)
     for required in ("spec", "fields", "meta", "tensors"):
         if required not in sections:
             raise CorruptCheckpointError(f"missing checkpoint section {required!r}")
 
-    spec = ModelSpec.from_kv(_parse_kv(sections["spec"]))
-    fkv = _parse_kv(sections["fields"])
-    dims = FieldDims(
-        tuple(int(x) for x in fkv["vocab_sizes"].split(",") if x != ""),
-        int(fkv["n_numeric"]))
-    meta = _parse_kv(sections["meta"])
-    tensors = _unpack_tensors(sections["tensors"])
-
-    param_names = {p.name for p in Model(spec, dims, seed=0).parameters()}
-    missing = param_names - set(tensors)
-    if missing:
-        raise CorruptCheckpointError(f"checkpoint lacks parameters {sorted(missing)}")
-    extras = {k: v for k, v in tensors.items() if k not in param_names}
-    params = {k: v for k, v in tensors.items() if k in param_names}
-
-    adam = None
-    if "adam" in sections:
-        ar = _Reader(sections["adam"])
-        (t,) = ar.unpack("<Q")
-        rest = sections["adam"][ar.pos:]
-        first = _scan_tensor_block(rest)
-        m_block = _unpack_tensors(rest[:first])
-        v_block = _unpack_tensors(rest[first:])
-        adam = (int(t),
-                {k[2:]: v for k, v in m_block.items()},
-                {k[2:]: v for k, v in v_block.items()})
-
-    return Checkpoint(spec=spec, dims=dims, tensors=params, adam=adam,
-                      seed=int(meta["seed"]), epoch=int(meta["epoch"]),
-                      vocab_fingerprint=meta["vocab_fingerprint"], extras=extras)
-
-
-def _scan_tensor_block(raw: bytes) -> int:
-    """Byte length of the first packed tensor block inside ``raw``."""
-    r = _Reader(raw)
-    (count,) = r.unpack("<I")
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        r.take(name_len)
-        code, ndim = r.unpack("<BB")
-        if code not in _CODE_DTYPES:
-            raise CorruptCheckpointError(f"unknown dtype code {code}")
-        shape = r.unpack(f"<{ndim}Q")
-        r.take(int(np.prod(shape, dtype=np.int64)) * _CODE_DTYPES[code].itemsize)
-    return r.pos
+    try:
+        spec_kv, fields_kv, meta = (parse_kv(sections[name].decode("utf-8"))
+                                    for name in ("spec", "fields", "meta"))
+        spec, dims = ModelSpec.from_kv(spec_kv), FieldDims.from_kv(fields_kv)
+        seed, epoch = int(meta["seed"]), int(meta["epoch"])
+        fingerprint = meta["vocab_fingerprint"]
+    except (ValueError, KeyError) as err:
+        # undecodable text, a malformed line, a missing key or a bad value
+        raise CorruptCheckpointError(f"bad spec, fields or meta section: {err!r}") from None
+    return Checkpoint(spec, dims, _unpack_tensors(sections["tensors"]), seed=seed,
+                      epoch=epoch, vocab_fingerprint=fingerprint)

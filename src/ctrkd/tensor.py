@@ -17,8 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
 # Monotonic creation counter; creation order is execution order, so
 # descending order is the replay order for adjoints.
 _seq_counter = itertools.count()
@@ -26,15 +24,10 @@ _seq_counter = itertools.count()
 GradFn = Callable[[np.ndarray], list[tuple["Tensor", np.ndarray]]]
 
 
-def _as_values(data, dtype=None) -> np.ndarray:
+def _as_values(data) -> np.ndarray:
     if isinstance(data, Tensor):
         raise TypeError("expected raw array data, got a Tensor")
-    arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
-    if arr.dtype in _FLOAT_DTYPES:
-        return arr
-    return arr.astype(np.float64)
+    return np.asarray(data, dtype=np.float64)
 
 
 class Tensor:
@@ -44,8 +37,8 @@ class Tensor:
                  "_parents", "_grad_fn", "_op", "_seq")
 
     def __init__(self, data, requires_grad: bool = False,
-                 name: str | None = None, dtype=None):
-        self.values = _as_values(data, dtype)
+                 name: str | None = None):
+        self.values = _as_values(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -65,10 +58,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.values.size
-
-    @property
-    def dtype(self):
-        return self.values.dtype
 
     def item(self) -> float:
         return float(self.values.reshape(-1)[0]) if self.size == 1 else _scalar_err(self)
@@ -175,8 +164,8 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, name: str | None = None, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name, dtype=dtype)
+def parameter(data, name: str | None = None) -> Tensor:
+    return Tensor(data, requires_grad=True, name=name)
 
 
 def _from_op(values, parents: Sequence[Tensor], grad_fn: GradFn, op: str) -> Tensor:

@@ -93,19 +93,6 @@ class Adam:
             p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             p.grad = None
 
-    def state(self) -> tuple[int, dict[str, np.ndarray], dict[str, np.ndarray]]:
-        names = [p.name or f"param{i}" for i, p in enumerate(self.params)]
-        return (self.t,
-                {n: m.copy() for n, m in zip(names, self.m)},
-                {n: v.copy() for n, v in zip(names, self.v)})
-
-    def load_state(self, t: int, m: dict[str, np.ndarray], v: dict[str, np.ndarray]) -> None:
-        self.t = int(t)
-        for i, p in enumerate(self.params):
-            name = p.name or f"param{i}"
-            np.copyto(self.m[i], m[name])
-            np.copyto(self.v[i], v[name])
-
 
 def _apply_l2(embedding_params: list[Tensor], lam: float) -> None:
     # gradient of lam * sum ||E||^2, embeddings only
@@ -389,6 +376,9 @@ def train_student_pretrain(student: Model, teachers: list[Model],
         raise ValueError(f"unknown stop mode {stop_mode!r}")
     if stop_mode == VAL_AUC_MAX and val_data is None:
         raise ValueError("val_auc_max stopping requires validation data")
+    if stop_mode == KD_LOSS_MIN and dcfg.method == KD.HINT and dcfg.beta == 0.0:
+        raise ValueError("hint distillation with beta = 0 has no KD loss to stop on "
+                         "(no hint projectors are trained); use val_auc_max stopping")
 
     objective, gate, projectors = _student_objective(student, teachers, dcfg, hyper, seed,
                                                      dcfg.gating)

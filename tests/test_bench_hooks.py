@@ -14,12 +14,18 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 
+import ctrkd.persist  # noqa: E402
 import ctrkd.train  # noqa: E402
 import spans  # noqa: E402
 from ctrkd.distill import DistillConfig  # noqa: E402
 from ctrkd.models import FieldDims, Model, ModelSpec  # noqa: E402
 from ctrkd.synth import synthetic_dataset  # noqa: E402
 from ctrkd.train import TrainHyper  # noqa: E402
+
+
+def assert_restored(saved):
+    for owner, attr, original in saved:
+        assert owner.__dict__[attr] is original, f"{attr} left wrapped"
 
 
 def test_traced_training_counts_match_the_bench_formulas():
@@ -42,8 +48,7 @@ def test_traced_training_counts_match_the_bench_formulas():
     finally:
         tracer.uninstall()
 
-    for owner, attr, original in saved:
-        assert owner.__dict__[attr] is original, f"{attr} left wrapped"
+    assert_restored(saved)
     epochs, rows = hyper.max_epochs, len(train)
     batches = 2 * epochs * math.ceil(rows / hyper.batch_size)
     assert tracer.counts() == {
@@ -57,3 +62,25 @@ def test_traced_training_counts_match_the_bench_formulas():
     assert {"train.train_teacher", "train.train_student_pretrain", "data.batches.wait",
             "train.adam_step", "train.early_stop_update", "models.predict",
             "metrics.auc"} <= names
+
+
+def test_checkpoint_reload_builds_one_model(tmp_path):
+    model = Model(ModelSpec.deepfm((8,), embedding_dim=4), FieldDims((50,) * 6, 2), seed=1)
+    path = str(tmp_path / "model.ckpt")
+
+    tracer = spans.Tracer("test")
+    tracer.install()
+    saved = list(tracer._saved)
+    try:
+        ctrkd.persist.save(path, model)
+        again = ctrkd.persist.load(path).build_model()
+    finally:
+        tracer.uninstall()
+
+    assert_restored(saved)
+    metrics = tracer.metrics()
+    assert metrics["persist.save.calls"] == 1
+    assert metrics["persist.load.calls"] == 1
+    assert metrics["models.init.calls"] == 1
+    for name, arr in again.state().items():
+        np.testing.assert_array_equal(arr, model.state()[name])

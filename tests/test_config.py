@@ -1,7 +1,7 @@
 import pytest
 
-from ctrkd.config import (ConfigError, ExperimentConfig, load_config,
-                          parse_config_text)
+from ctrkd.config import (ConfigError, ExperimentConfig, format_kv, load_config,
+                          parse_config_text, parse_kv)
 from ctrkd.data import RandomRatioSplit, SequentialSplit
 
 
@@ -23,6 +23,18 @@ def test_parse_minimal_with_defaults():
     schema = cfg.table_schema()
     assert len(schema.numeric_fields) == 2
     assert len(schema.categorical_fields) == 6
+
+
+def test_kv_codec_rules():
+    text = "  # comment\n\nb =  2 \na=x = y\nempty =\n"
+    assert parse_kv(text) == {"b": "2", "a": "x = y", "empty": ""}
+    pairs = [("z", "1"), ("a", ""), ("m", "p q")]
+    assert format_kv(pairs) == "z = 1\na = \nm = p q\n"  # given order, no sorting
+    assert list(parse_kv(format_kv(pairs)).items()) == pairs
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'a'"):
+        parse_kv("a = 1\n\na = 2\n")
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+        parse_kv("a = 1\nno equals sign\n")
 
 
 def test_unknown_key_rejected():

@@ -1,5 +1,6 @@
 import gzip
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -124,6 +125,24 @@ def test_encode_rows_values_and_errors():
     assert ds._labels.tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         D.encode_rows([["2", "1", "a", "z"]], toy_schema(), vocab)
+
+
+def test_encode_rows_rejects_short_rows():
+    # val and test rows never pass through FeatureVocabulary.build
+    vocab = D.FeatureVocabulary.build(make_rows(["a", "b"]), toy_schema(), min_count=1)
+    short = [["0", "1.0", "a", "z"], ["1", "2.0", "b"]]
+    with pytest.raises(ValueError, match=r"row 1 has 3 columns.*column 3 is missing"):
+        D.encode_rows(short, toy_schema(), vocab)
+
+
+def test_encode_rows_rejects_non_finite_numerics():
+    vocab = D.FeatureVocabulary.build(make_rows(["a", "b"]), toy_schema(), min_count=1)
+    for token in ("nan", "NaN", "inf", "-inf", "1e999"):
+        rows = [["0", "1.0", "a", "z"], ["1", token, "b", "z"]]
+        with pytest.raises(ValueError, match=rf"row 1, column 1: .*'{re.escape(token)}'"):
+            D.encode_rows(rows, toy_schema(), vocab)
+    with pytest.raises(ValueError, match=r"row 0, column 1: .*'x1'"):
+        D.encode_rows([["0", "x1", "a", "z"]], toy_schema(), vocab)
 
 
 def test_random_split_exact_ratio():

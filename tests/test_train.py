@@ -259,6 +259,21 @@ def test_pretrain_beta_zero_matches_plain_training_bitwise():
             assert res.record.best_epoch == plain_record.best_epoch
 
 
+def test_hint_beta_zero_refuses_kd_loss_stop_before_training():
+    # beta = 0 trains no hint projectors, so there is no KD loss to monitor
+    ds, dims = small_synth(400)
+    teacher = Model(ModelSpec.fm(4), dims, seed=1)
+    student = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=2)
+    before = student.state()
+    dcfg = DistillConfig(method="hint", beta=0.0, gamma=1.0)
+    for patience in (3, None):
+        hyper = TrainHyper(batch_size=200, max_epochs=2, patience=patience)
+        with pytest.raises(ValueError, match="val_auc_max"):
+            train_student_pretrain(student, [teacher], dcfg, ds, hyper, seed=7)
+    for name, arr in student.state().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
 def test_pretrain_rejects_schema_mismatch_and_empty_teachers():
     ds, dims = small_synth(300)
     student = Model(ModelSpec.dnn((4,), embedding_dim=2), dims, seed=0)
