@@ -409,11 +409,13 @@ class Model:
 
     def logit_values(self, cat, num) -> np.ndarray:
         """Inference-mode logits as a raw (B, 1) array, outside any graph."""
-        return self.forward(cat, num, training=False)[0].values
+        with T.no_grad():
+            return self.forward(cat, num, training=False)[0].values
 
     def hint_values(self, cat, num) -> tuple[np.ndarray, np.ndarray]:
-        """Inference-mode (logit, hint) value arrays."""
-        logit, hint = self.forward(cat, num, training=False)
+        """Inference-mode (logit, hint) value arrays, outside any graph."""
+        with T.no_grad():
+            logit, hint = self.forward(cat, num, training=False)
         return logit.values, hint.values
 
     def predict_proba(self, cat, num) -> np.ndarray:

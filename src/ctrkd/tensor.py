@@ -5,6 +5,12 @@ Every op records its inputs and a backward closure on the output tensor.
 order and accumulates adjoints, so a tensor used several times receives
 the sum of the gradients from all of its uses, and calling backward twice
 without clearing grads yields exactly twice the single-pass gradient.
+Only leaves (tensors no op produced, such as parameters) keep a ``.grad``;
+an intermediate adjoint is handed to the op's inputs and then dropped.
+
+Inside a ``no_grad()`` block ops record nothing: they compute the same
+values, but their outputs have no parents and ``requires_grad`` False, so
+inference builds no graph.
 
 Shape discipline is deliberately strict: elementwise ops accept equal
 shapes or a size-1 operand, nothing else. Structural ops (``expand``,
@@ -12,6 +18,7 @@ shapes or a size-1 operand, nothing else. Structural ops (``expand``,
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Sequence
 
@@ -20,6 +27,9 @@ import numpy as np
 # Monotonic creation counter; creation order is execution order, so
 # descending order is the replay order for adjoints.
 _seq_counter = itertools.count()
+
+# False inside no_grad(): ops then record no parents and no backward closure.
+_grad_enabled = True
 
 GradFn = Callable[[np.ndarray], list[tuple["Tensor", np.ndarray]]]
 
@@ -70,19 +80,24 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(t) into ``t.grad`` for every recorded input."""
+        """Accumulate d(self)/d(t) into ``t.grad`` for every leaf t it reaches."""
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError("backward on a tensor that records no graph: no parameter "
+                             "reaches it, or it was computed inside no_grad()")
         record = ComputationRecord.trace(self)
         adjoints: dict[int, np.ndarray] = {id(self): np.ones_like(self.values)}
         for t in reversed(record.nodes):
             g = adjoints.pop(id(t), None)
             if g is None:
                 continue
-            if t.grad is None:
-                t.grad = np.zeros_like(t.values)
-            t.grad += g
-            if t._grad_fn is not None:
+            if t._grad_fn is None:
+                # zeros plus g rather than a copy of g: 0.0 + -0.0 is +0.0
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.values)
+                t.grad += g
+            else:
                 for parent, pg in t._grad_fn(g):
                     acc = adjoints.get(id(parent))
                     adjoints[id(parent)] = pg if acc is None else acc + pg
@@ -168,9 +183,22 @@ def parameter(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run a block without recording a graph; nesting and exceptions restore
+    the previous state. The flag is one per process, shared by its threads."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _from_op(values, parents: Sequence[Tensor], grad_fn: GradFn, op: str) -> Tensor:
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
@@ -496,9 +524,16 @@ def pairwise_mul(a, b) -> Tensor:
         g3 = g.reshape(n, h, m)
         out = []
         if a.requires_grad:
+            # Not einsum or matmul: both sum the last axis in another order
+            # than numpy's pairwise sum, which changes low bits and with
+            # them xDeepFM's training trajectory.
             out.append((a, (g3 * b.values[:, None, :]).sum(axis=2)))
         if b.requires_grad:
-            out.append((b, (g3 * a.values[:, :, None]).sum(axis=1)))
+            # Both forms add the h products in order; with m == 1 the summed
+            # axis is the innermost one, which numpy sums pairwise and
+            # einsum does not, so that case keeps the reference form.
+            out.append((b, np.einsum("nij,ni->nj", g3, a.values) if m > 1
+                        else (g3 * a.values[:, :, None]).sum(axis=1)))
         return out
 
     return _from_op(values, (a, b), grad_fn, "pairwise_mul")

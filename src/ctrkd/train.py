@@ -389,13 +389,13 @@ def train_student_pretrain(student: Model, teachers: list[Model],
             rows = min(hyper.kd_monitor_rows, n)
             idx = _monitor_rng(seed, epoch).choice(n, size=rows, replace=False)
             cat, num = train_data.cat[idx], train_data.num[idx]
-            # Teachers first: the student's eval forward builds a graph over
-            # the whole slice, and keeping it alive through the teacher
-            # forwards raised the benchmark's cli_pipeline peak RSS from
-            # 238 MB to 274 MB.
-            z_list, h_list = _teacher_outputs(teachers, cat, num, dcfg.method == KD.HINT)
-            s_logit, s_hint = student.forward(cat, num, training=False)
-            return _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors).item()
+            # a value only: no graph over the slice, for the student, the
+            # gate or the projectors
+            with T.no_grad():
+                z_list, h_list = _teacher_outputs(teachers, cat, num, dcfg.method == KD.HINT)
+                s_logit, s_hint = student.forward(cat, num, training=False)
+                return _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate,
+                                projectors).item()
     else:
         measure = _val_auc(student, val_data)
     [record] = _fit([objective], train_data, hyper, seed, stop_mode, measure)

@@ -246,6 +246,7 @@ def test_auc_matches_all_pairs_oracle():
 
 # -- 6. directional distillation result ---------------------------------------
 
+@pytest.mark.slow
 def test_distilled_student_beats_plain_student():
     started = time.perf_counter()
     train, val, test, merged = splits()
@@ -271,6 +272,7 @@ def test_distilled_student_beats_plain_student():
 
 # -- 7. ensemble distillation non-inferiority ----------------------------------
 
+@pytest.mark.slow
 def test_ensemble_distillation_at_least_best_single():
     train, val, test, merged = splits()
     kinds = ("deepfm", "dcn", "xdeepfm")

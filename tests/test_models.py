@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctrkd.models import FieldDims, Model, ModelSpec, spec_from_preset
+from ctrkd.models import PRESETS, FieldDims, Model, ModelSpec, spec_from_preset
 from ctrkd.tensor import sigmoid_values
 
 from gradcheck import check_grads
@@ -277,6 +277,20 @@ def test_hint_selection():
     _, hint = fm.forward(cat, num)
     assert hint.shape == (3, 3)
     assert fm.hint_dim == 3
+
+
+def test_inference_values_equal_the_eval_forward_bitwise():
+    cat, num = toy_batch(batch=7, seed=4)
+    for name in PRESETS:
+        model = Model(spec_from_preset(name, embedding_dim=3, hidden=(6, 4), dropout=0.3,
+                                       cin_maps=(3, 2)), DIMS, seed=2)
+        logit, hint = model.forward(cat, num, training=False)
+        assert logit.requires_grad
+        z = model.logit_values(cat, num)
+        z2, h2 = model.hint_values(cat, num)
+        assert z.tobytes() == logit.values.tobytes(), name
+        assert z2.tobytes() == logit.values.tobytes(), name
+        assert h2.tobytes() == hint.values.tobytes(), name
 
 
 def test_predict_sigmoid_mapping():

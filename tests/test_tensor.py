@@ -141,6 +141,94 @@ def test_backward_accumulates_exactly_twice():
     np.testing.assert_array_equal(w.grad, 2.0 * once)
 
 
+def test_backward_without_a_graph_raises():
+    # no parameter reaches the output, so there is nothing to differentiate
+    with pytest.raises(ValueError, match="no_grad"):
+        T.reduce_sum(Tensor(np.ones(3))).backward()
+    w = parameter([1.0, 2.0], "w")
+    with T.no_grad():
+        loss = T.reduce_sum(T.square(w))
+    with pytest.raises(ValueError, match="no_grad"):
+        loss.backward()
+    assert w.grad is None
+
+
+def test_no_grad_records_no_graph():
+    rng = np.random.default_rng(2)
+    w = parameter(rng.normal(size=(4, 3)), "w")
+    x = Tensor(rng.normal(size=(2, 4)))
+    live = T.sigmoid(T.matmul(x, w))
+    with T.no_grad():
+        outs = [T.matmul(x, w), T.add(w, w), T.square(w), T.rows(w, np.array([0, 2])),
+                T.pairwise_mul(w, w), T.reduce_sum(w), T.sigmoid(T.matmul(x, w))]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == () and out._grad_fn is None
+    np.testing.assert_array_equal(outs[-1].values, live.values)
+    assert T.matmul(x, w).requires_grad
+
+
+def test_no_grad_restores_the_flag_after_nesting_and_errors():
+    w = parameter([1.0], "w")
+    with T.no_grad():
+        with T.no_grad():
+            assert not T.mul(w, 2.0).requires_grad
+        assert not T.mul(w, 2.0).requires_grad
+    assert T.mul(w, 2.0).requires_grad
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    assert T.mul(w, 2.0).requires_grad
+
+
+def _replayed_leaf_grads(root):
+    """Reference replay that stores a gradient on every node it reaches."""
+    grads = {}
+    adjoints = {id(root): np.ones_like(root.values)}
+    for t in reversed(T.ComputationRecord.trace(root).nodes):
+        g = adjoints.pop(id(t), None)
+        if g is None:
+            continue
+        grads.setdefault(id(t), np.zeros_like(t.values))
+        grads[id(t)] += g
+        if t._grad_fn is not None:
+            for parent, pg in t._grad_fn(g):
+                acc = adjoints.get(id(parent))
+                adjoints[id(parent)] = pg if acc is None else acc + pg
+    return grads
+
+
+def test_only_leaves_keep_grad():
+    rng = np.random.default_rng(4)
+    a = parameter(rng.normal(size=(5, 3)), "a")
+    b = parameter(rng.normal(size=(5, 4)), "b")
+    w = parameter(rng.normal(size=(12, 2)), "w")
+    z = T.matmul(T.pairwise_mul(a, b), w)
+    h = T.relu(T.add(z, T.expand(T.slice_cols(a, 0, 1), z.shape)))
+    loss = T.reduce_sum(T.mul(T.sigmoid(h), h))
+    intermediates = [z, h, loss]
+    expected = _replayed_leaf_grads(loss)
+    loss.backward()
+    assert all(t.grad is None for t in intermediates)
+    for p in (a, b, w):
+        assert p.grad.tobytes() == expected[id(p)].tobytes(), p.name
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (6, 1, 4), (6, 3, 1), (2, 9, 1),
+                                   (7, 5, 6), (16000, 8, 8), (16000, 4, 8)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_pairwise_mul_b_adjoint_is_bitwise_the_reference(shape):
+    n, h, m = shape
+    rng = np.random.default_rng(n * 100 + h * 10 + m)
+    a = parameter(rng.normal(size=(n, h)), "a")
+    b = parameter(rng.normal(size=(n, m)), "b")
+    g = rng.normal(size=(n, h * m))
+    [(_, ga), (_, gb)] = T.pairwise_mul(a, b)._grad_fn(g)
+    g3 = g.reshape(n, h, m)
+    assert ga.tobytes() == (g3 * b.values[:, None, :]).sum(axis=2).tobytes()
+    assert gb.tobytes() == (g3 * a.values[:, :, None]).sum(axis=1).tobytes()
+
+
 def test_grad_sums_over_all_uses():
     w = parameter([2.0], "w")
     out = T.mul(w, w) + w  # w*w + w -> d/dw = 2w + 1
