@@ -1,10 +1,10 @@
 """Distillation losses, multi-teacher combination, and teacher gating.
 
 Teacher outputs must enter these losses as value snapshots (plain arrays
-or detached tensors), never as live graph nodes of the teacher models:
-gradient flow from student to teacher is cut mechanically. The gate and
-hint projector are trained jointly with the student, so their parameters
-do stay in the graph.
+from graph-free inference), never as live graph nodes of the teacher
+models: gradient flow from student to teacher is cut mechanically. The gate
+and hint projector are trained jointly with the student, so their
+parameters do stay in the graph.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .metrics import PROB_EPS
 from .tensor import Tensor
 
 SOFT_LABEL = "soft_label"
@@ -57,33 +56,22 @@ class DistillConfig:
                 raise ValueError("teacher gating applies to soft-label distillation only")
 
 
-def _as_graph_or_const(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def cross_entropy(target, probs: Tensor) -> Tensor:
-    """Mean binary cross-entropy of ``probs`` against (possibly soft) targets.
+def cross_entropy(target, logits: Tensor) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(``logits``) against (possibly
+    soft) targets of the same shape.
 
     ``target`` may be a constant array or a live tensor (gated ensemble
-    targets keep their gradient path). Probabilities are clamped away from
-    {0, 1} before the logs.
+    targets keep their gradient path).
     """
-    target = _as_graph_or_const(target)
-    probs = _as_graph_or_const(probs)
-    if target.shape != probs.shape:
-        raise ValueError(f"target shape {target.shape} != probs shape {probs.shape}")
-    p = T.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    ll = T.add(T.mul(target, T.log(p)),
-               T.mul(T.sub(1.0, target), T.log(T.sub(1.0, p))))
-    return T.neg(T.mul(T.reduce_sum(ll), 1.0 / ll.size))
+    return T.bce_with_logits(logits, target)
 
 
-def bce_loss(labels, probs: Tensor) -> Tensor:
-    """Mean binary cross-entropy against hard {0,1} labels."""
+def bce_loss(labels, logits: Tensor) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(``logits``) against hard {0,1} labels."""
     values = labels.values if isinstance(labels, Tensor) else np.asarray(labels, dtype=np.float64)
     if not np.all((values == 0.0) | (values == 1.0)):
         raise ValueError("bce_loss labels must be 0 or 1")
-    return cross_entropy(values, probs)
+    return cross_entropy(values, logits)
 
 
 def soft_label_loss(teacher_logits, student_logits: Tensor, tau: float) -> Tensor:
@@ -97,10 +85,8 @@ def soft_label_loss(teacher_logits, student_logits: Tensor, tau: float) -> Tenso
     """
     if tau < 1.0:
         raise ValueError("temperature tau must be >= 1")
-    z_t = _as_graph_or_const(teacher_logits)
-    target = T.sigmoid(T.mul(z_t, 1.0 / tau))
-    soft_student = T.sigmoid(T.mul(student_logits, 1.0 / tau))
-    return cross_entropy(target, soft_student)
+    target = T.sigmoid(T.mul(teacher_logits, 1.0 / tau))
+    return cross_entropy(target, T.mul(student_logits, 1.0 / tau))
 
 
 class HintProjector:
@@ -165,7 +151,7 @@ def gate_weights(teacher_logits: list, gate: TeacherGate) -> list[Tensor]:
     """
     if len(teacher_logits) != gate.n_teachers:
         raise ValueError(f"{len(teacher_logits)} logit columns for {gate.n_teachers} teachers")
-    logits = [_as_graph_or_const(z) for z in teacher_logits]
+    logits = [T.as_tensor(z) for z in teacher_logits]
     scores = [T.add(T.mul(z, w), b) for z, w, b in zip(logits, gate.w, gate.b)]
     row_max = np.max(np.concatenate([s.values for s in scores], axis=1),
                      axis=1, keepdims=True)
@@ -181,7 +167,7 @@ def uniform_weights(teacher_logits: list) -> list[Tensor]:
     m = len(teacher_logits)
     if m < 1:
         raise ValueError("need at least one teacher")
-    batch = _as_graph_or_const(teacher_logits[0]).shape[0]
+    batch = T.as_tensor(teacher_logits[0]).shape[0]
     return [Tensor(np.full((batch, 1), 1.0 / m)) for _ in teacher_logits]
 
 
@@ -191,18 +177,18 @@ def ensemble_teacher_logit(teacher_logits: list, alphas: list[Tensor]) -> Tensor
         raise ValueError("teacher logits and weights must have the same length")
     if not teacher_logits:
         raise ValueError("need at least one teacher")
-    logits = [_as_graph_or_const(z) for z in teacher_logits]
+    logits = [T.as_tensor(z) for z in teacher_logits]
     out = T.mul(alphas[0], logits[0])
     for a, z in zip(alphas[1:], logits[1:]):
         out = T.add(out, T.mul(a, z))
     return out
 
 
-def student_loss(labels, student_probs: Tensor, kd_term: Tensor | None,
+def student_loss(labels, student_logit: Tensor, kd_term: Tensor | None,
                  beta: float, gamma: float) -> Tensor:
-    """gamma * CE(labels, probs) + beta * KD. beta=0 returns the plain CE
-    term untouched, so a zero-weight run is bit-identical to no KD."""
-    ce = bce_loss(labels, student_probs)
+    """gamma * CE(labels, sigmoid(logit)) + beta * KD. beta=0 returns the
+    plain CE term untouched, so a zero-weight run is bit-identical to no KD."""
+    ce = bce_loss(labels, student_logit)
     if beta == 0.0:
         return ce if gamma == 1.0 else T.mul(ce, gamma)
     if kd_term is None:

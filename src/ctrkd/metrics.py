@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Probability clamp shared by logloss and the training losses.
+# Probability clamp for logloss; the training losses work on logits.
 PROB_EPS = 1e-7
 
 

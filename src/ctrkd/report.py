@@ -81,13 +81,6 @@ class ExperimentReport:
             ))
         return out
 
-    def runs_csv(self) -> str:
-        lines = ["model,seed,auc,logloss,best_epoch,seconds"]
-        for r in self.rows:
-            lines.append(f"{r.model},{r.seed},{r.auc!r},{r.logloss!r},"
-                         f"{r.best_epoch},{r.seconds:.3f}")
-        return "\n".join(lines) + "\n"
-
     def summary_csv(self) -> str:
         lines = ["model,n_seeds,auc_mean,auc_std,logloss_mean,logloss_std,"
                  "auc_delta_permille,logloss_delta_permille"]

@@ -72,10 +72,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values.reshape(-1)[0]) if self.size == 1 else _scalar_err(self)
 
-    def detach(self) -> "Tensor":
-        """Value snapshot outside the graph; gradients never flow past it."""
-        return Tensor(self.values, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -348,27 +344,31 @@ def exp(a) -> Tensor:
     return _from_op(values, (a,), grad_fn, "exp")
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
+def bce_with_logits(z, target) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(z) against (possibly soft)
+    targets of the same shape: mean(softplus(z) - target * z).
+
+    softplus is max(z, 0) + log1p(exp(-|z|)), so the loss is finite and its
+    gradient (sigmoid(z) - target) / n never vanishes on a confident
+    mistake. A live ``target`` receives -z / n.
+    """
+    z, target = as_tensor(z), as_tensor(target)
+    if z.shape != target.shape:
+        raise ValueError(f"bce_with_logits: target shape {target.shape} "
+                         f"!= logit shape {z.shape}")
+    n = z.size
+    softplus = np.maximum(z.values, 0.0) + np.log1p(np.exp(-np.abs(z.values)))
+    values = np.sum(softplus - target.values * z.values) / n
 
     def grad_fn(g):
-        return [(a, g / a.values)] if a.requires_grad else []
+        out = []
+        if z.requires_grad:
+            out.append((z, g * (_sigmoid_values(z.values) - target.values) / n))
+        if target.requires_grad:
+            out.append((target, g * -z.values / n))
+        return out
 
-    return _from_op(np.log(a.values), (a,), grad_fn, "log")
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only where unclipped."""
-    a = as_tensor(a)
-    values = np.clip(a.values, lo, hi)
-
-    def grad_fn(g):
-        if not a.requires_grad:
-            return []
-        inside = (a.values >= lo) & (a.values <= hi)
-        return [(a, g * inside)]
-
-    return _from_op(values, (a,), grad_fn, "clip")
+    return _from_op(values, (z, target), grad_fn, "bce_with_logits")
 
 
 # -- linear algebra and structure ----------------------------------------

@@ -270,7 +270,7 @@ def _val_auc(model: Model, val_data: EncodedDataset):
 def _bce_objective(model: Model, hyper: TrainHyper, seed: int) -> _Objective:
     def loss(batch: Batch, rng: np.random.Generator) -> Tensor:
         logit, _ = model.forward(batch.cat, batch.num, training=True, rng=rng)
-        return KD.bce_loss(batch.labels, T.sigmoid(logit))
+        return KD.bce_loss(batch.labels, logit)
 
     return _Objective(loss, Adam(model.parameters(), lr=hyper.lr),
                       model.embedding_parameters(), _dropout_rng(seed, TEACHER_ROLE))
@@ -344,7 +344,7 @@ def _student_objective(student: Model, teachers: list[Model], dcfg: DistillConfi
         if dcfg.beta != 0.0:
             z_list, h_list = _teacher_outputs(teachers, batch.cat, batch.num, need_hints)
             kd = _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors)
-        return KD.student_loss(batch.labels, T.sigmoid(s_logit), kd, dcfg.beta, dcfg.gamma)
+        return KD.student_loss(batch.labels, s_logit, kd, dcfg.beta, dcfg.gamma)
 
     objective = _Objective(loss, Adam(params, lr=hyper.lr), student.embedding_parameters(),
                            _dropout_rng(seed, STUDENT_ROLE))

@@ -102,7 +102,7 @@ def test_gradient_correctness_across_the_zoo():
 
         def loss_tensor():
             logit, _ = model.forward(cat, num)
-            return KD.bce_loss(labels, T.sigmoid(logit))
+            return KD.bce_loss(labels, logit)
 
         model.zero_grad()
         loss_tensor().backward()
@@ -126,25 +126,24 @@ def test_loss_identities():
         value = KD.soft_label_loss(np.zeros((1, 1)), Tensor(np.zeros((1, 1))), tau).item()
         assert abs(value - ln2) <= 1e-12
 
-    # tau=1 reduces to plain BCE arithmetic on sigmoided logits, bitwise:
-    # soft_label_loss == cross_entropy(sigmoid(z_T), .) and bce_loss is
-    # exactly cross_entropy restricted to hard labels.
+    # tau=1 reduces to plain BCE on the student logits against sigmoided
+    # teacher logits, bitwise: soft_label_loss == cross_entropy(sigmoid(z_T), z_S)
+    # and bce_loss is exactly cross_entropy restricted to hard labels.
     rng = np.random.default_rng(5)
     z_t, z_s = rng.normal(size=(16, 1)), Tensor(rng.normal(size=(16, 1)))
     assert (KD.soft_label_loss(z_t, z_s, 1.0).item()
-            == KD.cross_entropy(sigmoid_values(z_t), T.sigmoid(z_s)).item())
+            == KD.cross_entropy(sigmoid_values(z_t), z_s).item())
     y = (z_t > 0).astype(float)
-    assert (KD.bce_loss(y, T.sigmoid(z_s)).item()
-            == KD.cross_entropy(y, T.sigmoid(z_s)).item())
+    assert KD.bce_loss(y, z_s).item() == KD.cross_entropy(y, z_s).item()
 
     proj = HintProjector(6, 6)
     v = rng.normal(size=(4, 6))
     assert KD.hint_loss(v, Tensor(v.copy()), proj).item() == 0.0
 
     y = np.array([[1.0], [0.0], [1.0]])
-    p = Tensor(np.array([[0.61], [0.17], [0.93]]))
-    assert (KD.student_loss(y, p, None, beta=0.0, gamma=1.0).item()
-            == KD.bce_loss(y, p).item())
+    z = Tensor(np.array([[0.61], [-1.7], [2.93]]))
+    assert (KD.student_loss(y, z, None, beta=0.0, gamma=1.0).item()
+            == KD.bce_loss(y, z).item())
     _pass("loss identities (soft-label ln2, tau=1 reduction, hint zero, beta=0)")
 
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from ctrkd import distill as KD
-from ctrkd import tensor as T
 from ctrkd.distill import (DistillConfig, HintProjector, TeacherGate, bce_loss,
                            cross_entropy, ensemble_teacher_logit, gate_weights,
                            hint_loss, soft_label_loss, student_loss,
                            uniform_weights)
 from ctrkd.models import FieldDims, Model, ModelSpec
-from ctrkd.tensor import Tensor, parameter, sigmoid_values
+from ctrkd.tensor import ComputationRecord, Tensor, parameter, sigmoid_values
+
+from gradcheck import check_grads
 
 LN2 = float(np.log(2.0))
 
@@ -31,15 +32,16 @@ def test_config_validation():
 
 
 def test_bce_known_values():
-    assert bce_loss([[1.0]], Tensor([[0.5]])).item() == pytest.approx(LN2, abs=1e-12)
-    assert bce_loss([[0.0]], Tensor([[1e-7]])).item() == pytest.approx(0.0, abs=1e-6)
+    assert bce_loss([[1.0]], Tensor([[0.0]])).item() == LN2
+    assert bce_loss([[0.0]], Tensor([[-16.0]])).item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_bce_batch_matches_per_sample_oracle():
     y = np.array([[1.0], [0.0], [1.0]])
     p = np.array([[0.8], [0.3], [0.6]])
+    z = np.log(p / (1.0 - p))
     expected = np.mean([-np.log(0.8), -np.log(0.7), -np.log(0.6)])
-    assert bce_loss(y, Tensor(p)).item() == pytest.approx(expected, rel=1e-12)
+    assert bce_loss(y, Tensor(z)).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_bce_rejects_soft_labels():
@@ -47,9 +49,9 @@ def test_bce_rejects_soft_labels():
         bce_loss([[0.4]], Tensor([[0.5]]))
 
 
-def test_bce_gradient_flows_to_probs():
+def test_bce_gradient_flows_to_logits():
     logits = parameter([[0.3], [-0.2]], "z")
-    loss = bce_loss([[1.0], [0.0]], T.sigmoid(logits))
+    loss = bce_loss([[1.0], [0.0]], logits)
     loss.backward()
     # d/dz mean BCE(sigmoid(z)) = (p - y)/B
     p = sigmoid_values(logits.values)
@@ -82,11 +84,38 @@ def test_soft_label_tau1_equals_bce_on_sigmoids_bitwise():
     z_t = rng.normal(size=(8, 1))
     z_s = Tensor(rng.normal(size=(8, 1)))
     kd = soft_label_loss(z_t, z_s, 1.0).item()
-    ce = cross_entropy(sigmoid_values(z_t), T.sigmoid(z_s)).item()
+    ce = cross_entropy(sigmoid_values(z_t), z_s).item()
     assert kd == ce  # exact, same code path
     # and cross_entropy is bitwise the bce_loss computation on hard labels
     y = (z_t > 0).astype(float)
-    assert bce_loss(y, T.sigmoid(z_s)).item() == cross_entropy(y, T.sigmoid(z_s)).item()
+    assert bce_loss(y, z_s).item() == cross_entropy(y, z_s).item()
+
+
+def test_confident_mistakes_keep_their_gradient():
+    z = parameter([[-20.0], [0.3], [-0.4]], "z")
+    bce_loss([[1.0], [0.0], [1.0]], z).backward()
+    assert z.grad[0, 0] == pytest.approx(-1.0 / 3.0, rel=1e-8)
+    z_s = parameter([[-20.0]], "zs")
+    soft_label_loss(np.array([[20.0]]), z_s, 1.0).backward()
+    assert z_s.grad[0, 0] == pytest.approx(-1.0, rel=1e-8)
+
+
+def test_extreme_logits_give_finite_loss_and_gradients():
+    z = parameter([[1000.0], [-1000.0], [1000.0], [-1000.0]], "z")
+    loss = bce_loss([[0.0], [1.0], [1.0], [0.0]], z)
+    loss.backward()
+    assert loss.item() == 500.0  # two mistakes of 1000 each, two exact hits
+    np.testing.assert_array_equal(z.grad, [[0.25], [-0.25], [0.0], [0.0]])
+    z_s = parameter([[-1000.0], [1000.0]], "zs")
+    loss = soft_label_loss(np.array([[1000.0], [1000.0]]), z_s, 2.0)
+    loss.backward()
+    assert np.isfinite(loss.item()) and np.all(np.isfinite(z_s.grad))
+
+
+def test_bce_loss_is_one_graph_node():
+    z = parameter([[0.3], [-0.2]], "z")
+    nodes = ComputationRecord.trace(bce_loss([[1.0], [0.0]], z)).nodes
+    assert [t._op for t in nodes] == [None, "bce_with_logits"]  # leaf, loss
 
 
 def test_soft_label_gradient_reaches_student_only():
@@ -193,6 +222,22 @@ def test_gate_gradients_reach_parameters():
     assert gate.w[0].grad is not None and gate.w[0].grad[0, 0] != 0.0
 
 
+def test_gated_soft_label_loss_gradcheck():
+    rng = np.random.default_rng(12)
+    gate = TeacherGate(3)
+    for w, b in zip(gate.w, gate.b):
+        w.values[:] = rng.normal()
+        b.values[:] = rng.normal()
+    z = [rng.normal(size=(5, 1)) * 2.0 for _ in range(3)]
+    z_s = parameter(rng.normal(size=(5, 1)), "zs")
+
+    def loss():
+        ens = ensemble_teacher_logit(z, gate_weights(z, gate))
+        return soft_label_loss(ens, z_s, 2.0)
+
+    check_grads(loss, gate.parameters() + [z_s], tol=1e-8)
+
+
 def test_ensemble_single_teacher_is_identity():
     z = [np.array([[0.37], [-2.0]])]
     out = ensemble_teacher_logit(z, uniform_weights(z))
@@ -230,21 +275,22 @@ def test_ensemble_averaging_fallback_equals_mean():
 
 def test_student_loss_beta_zero_is_bce_bitwise():
     y = np.array([[1.0], [0.0]])
-    p = Tensor(np.array([[0.7], [0.2]]))
-    assert student_loss(y, p, None, beta=0.0, gamma=1.0).item() == bce_loss(y, p).item()
+    z = Tensor(np.array([[0.7], [-1.2]]))
+    assert student_loss(y, z, None, beta=0.0, gamma=1.0).item() == bce_loss(y, z).item()
 
 
 def test_student_loss_pure_mimicry():
-    p = Tensor(np.array([[0.7]]))
+    z = Tensor(np.array([[0.7]]))
     kd = Tensor(np.array(0.42))
-    assert student_loss([[1.0]], p, kd, beta=1.0, gamma=0.0).item() == 0.42
+    assert student_loss([[1.0]], z, kd, beta=1.0, gamma=0.0).item() == 0.42
 
 
 def test_student_loss_weighted_arithmetic():
-    # CE = 0.5 via p = exp(-0.5), KD = 0.3 -> 0.4*0.5 + 0.6*0.3 = 0.38
-    p = Tensor(np.array([[np.exp(-0.5)]]))
+    # CE = 0.5 via sigmoid(z) = exp(-0.5), KD = 0.3 -> 0.4*0.5 + 0.6*0.3 = 0.38
+    p = np.exp(-0.5)
+    z = Tensor(np.array([[np.log(p / (1.0 - p))]]))
     kd = Tensor(np.array(0.3))
-    loss = student_loss([[1.0]], p, kd, beta=0.6, gamma=0.4)
+    loss = student_loss([[1.0]], z, kd, beta=0.6, gamma=0.4)
     assert loss.item() == pytest.approx(0.38, abs=1e-12)
 
 

@@ -64,6 +64,9 @@ def test_run_produces_report_with_expected_cardinality(tmp_path):
     assert len(by_model["student_kd"]) == 3
     assert len(by_model["teacher/fm"]) == 1
     out = tmp_path / "out"
+    runs = (out / "runs.csv").read_text().splitlines()
+    assert runs[0] == "model,seed,auc,logloss,best_epoch,seconds"
+    assert len(runs) == 1 + len(report.rows)
     assert (out / "report.csv").exists()
     assert (out / "report.txt").exists()
     assert (out / "status.txt").read_text().strip() == "ok"

@@ -51,9 +51,6 @@ def test_unknown_baseline_rejected():
 def test_csv_and_table_shapes():
     rows = rows_for("base", [0.70, 0.71]) + rows_for("cand", [0.72, 0.73])
     report = ExperimentReport(rows, baseline="base")
-    runs = report.runs_csv().splitlines()
-    assert runs[0] == "model,seed,auc,logloss,best_epoch,seconds"
-    assert len(runs) == 5
     summary = report.summary_csv().splitlines()
     assert len(summary) == 3
     table = report.text_table()
