@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .data import (CATEGORICAL, NUMERIC, FieldSchema, RandomRatioSplit,
                    SequentialSplit, TableSchema)
 from .distill import DistillConfig
-from .models import PRESETS, ModelSpec, spec_from_preset
+from .models import PRESETS, ModelSpec, _ints, spec_from_preset
 from .train import TrainHyper
 
 
@@ -52,10 +52,6 @@ def _bool(raw: str) -> bool:
     if raw.lower() in ("false", "no", "0"):
         return False
     raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.split(",") if x.strip() != "")
 
 
 def _floats(raw: str) -> tuple[float, ...]:

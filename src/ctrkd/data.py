@@ -232,14 +232,6 @@ class EncodedDataset:
     def __len__(self) -> int:
         return self._labels.shape[0]
 
-    @property
-    def n_categorical(self) -> int:
-        return self.cat.shape[1]
-
-    @property
-    def n_numeric(self) -> int:
-        return self.num.shape[1]
-
     def subset(self, indices) -> "EncodedDataset":
         idx = np.asarray(indices)
         if idx.size == 0:

@@ -211,15 +211,18 @@ def _load_teachers(cfg: ExperimentConfig, art: DataArtifacts) -> list[tuple[str,
 
 
 def distill_preflight(cfg: ExperimentConfig) -> None:
-    """Fail before any training if teacher checkpoints are not in place."""
+    """Fail before any training if teacher checkpoints are not in place, or
+    if co-training is asked of other than exactly one teacher."""
     meta_path = _teacher_meta_path(cfg.output_dir)
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"no trained teachers found at {meta_path}; "
                                 "run the teacher stage first")
-    missing = [row["ckpt"] for row in _read_meta(meta_path)
-               if not os.path.exists(row["ckpt"])]
+    teachers = _read_meta(meta_path)
+    missing = [row["ckpt"] for row in teachers if not os.path.exists(row["ckpt"])]
     if missing:
         raise FileNotFoundError(f"missing teacher checkpoints: {missing}")
+    if cfg["distill.scheme"] == "cotrain" and len(teachers) != 1:
+        raise ValueError("co-train supports exactly one teacher")
 
 
 def _distill_seed_job(payload: tuple[str, str, int]) -> list[dict]:
@@ -248,8 +251,6 @@ def _distill_seed_job(payload: tuple[str, str, int]) -> list[dict]:
     teachers = _load_teachers(cfg, art)
     student = Model(cfg.model_spec("student"), art.dims, seed=seed)
     if dcfg.scheme == "cotrain":
-        if len(teachers) != 1:
-            raise ValueError("co-train supports exactly one teacher")
         co_teacher = Model(teachers[0][1].spec, art.dims, seed=cfg["train.teacher_seed"])
         _, record = train_student_cotrain(co_teacher, student, dcfg, art.train,
                                           hyper, seed=seed)

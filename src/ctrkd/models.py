@@ -28,7 +28,7 @@ ACTIVATIONS = ("relu", "sigmoid")
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x != "")
+    return tuple(int(x) for x in text.split(",") if x.strip() != "")
 
 
 @dataclass(frozen=True)

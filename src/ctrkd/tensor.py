@@ -1,6 +1,11 @@
 """Minimal dense tensors with reverse-mode gradient accumulation.
 
-Every op records its inputs and a backward closure on the output tensor.
+Every op checks its inputs, computes its value and hands ``_from_op`` one
+adjoint per input: a function from the output's adjoint to that input's.
+Only ``_from_op`` looks at ``requires_grad``: it records the inputs and a
+backward closure on the output that runs the adjoints of the inputs that
+need a gradient, in input order.
+
 ``Tensor.backward()`` replays the recorded ops in exact reverse execution
 order and accumulates adjoints, so a tensor used several times receives
 the sum of the gradients from all of its uses, and calling backward twice
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +37,7 @@ _seq_counter = itertools.count()
 _grad_enabled = True
 
 GradFn = Callable[[np.ndarray], list[tuple["Tensor", np.ndarray]]]
+Adjoint = Callable[[np.ndarray], np.ndarray]
 
 
 def _as_values(data) -> np.ndarray:
@@ -70,7 +76,9 @@ class Tensor:
         return self.values.size
 
     def item(self) -> float:
-        return float(self.values.reshape(-1)[0]) if self.size == 1 else _scalar_err(self)
+        if self.size != 1:
+            raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
+        return float(self.values.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -138,10 +146,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op!r}{tag})"
 
 
-def _scalar_err(t):
-    raise ValueError(f"item() requires a single-element tensor, got shape {t.shape}")
-
-
 class ComputationRecord:
     """Executed ops reachable from one output, in execution order.
 
@@ -192,19 +196,25 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _from_op(values, parents: Sequence[Tensor], grad_fn: GradFn, op: str) -> Tensor:
+def _from_op(values, op: str, *inputs: tuple[Tensor, Adjoint]) -> Tensor:
+    """Output of ``op`` on ``inputs``, each an (input, adjoint) pair whose
+    adjoint maps the output's adjoint to that input's. Records a graph only
+    when grad mode is on and some input requires a gradient; backward then
+    runs the adjoints of those inputs only, in input order."""
     out = Tensor(values)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    live = [(t, adjoint) for t, adjoint in inputs if t.requires_grad] if _grad_enabled else ()
+    if live:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
+        out._parents = tuple([t for t, _ in inputs])
+        out._grad_fn = lambda g: [(t, adjoint(g)) for t, adjoint in live]
         out._op = op
     return out
 
 
-def _check_elementwise(a: Tensor, b: Tensor, op: str) -> None:
+def _check_elementwise(a, b, op: str) -> tuple[Tensor, Tensor]:
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
+        return a, b
     raise ValueError(f"{op}: shapes {a.shape} and {b.shape} are neither equal nor scalar")
 
 
@@ -218,86 +228,42 @@ def _fit(g: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # -- elementwise ---------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a, b, "add")
-    values = a.values + b.values
-
-    def grad_fn(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, _fit(g, a.values)))
-        if b.requires_grad:
-            out.append((b, _fit(g, b.values)))
-        return out
-
-    return _from_op(values, (a, b), grad_fn, "add")
+    a, b = _check_elementwise(a, b, "add")
+    return _from_op(a.values + b.values, "add",
+                    (a, lambda g: _fit(g, a.values)),
+                    (b, lambda g: _fit(g, b.values)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a, b, "sub")
-    values = a.values - b.values
-
-    def grad_fn(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, _fit(g, a.values)))
-        if b.requires_grad:
-            out.append((b, _fit(-g, b.values)))
-        return out
-
-    return _from_op(values, (a, b), grad_fn, "sub")
+    a, b = _check_elementwise(a, b, "sub")
+    return _from_op(a.values - b.values, "sub",
+                    (a, lambda g: _fit(g, a.values)),
+                    (b, lambda g: _fit(-g, b.values)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a, b, "mul")
-    values = a.values * b.values
-
-    def grad_fn(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, _fit(g * b.values, a.values)))
-        if b.requires_grad:
-            out.append((b, _fit(g * a.values, b.values)))
-        return out
-
-    return _from_op(values, (a, b), grad_fn, "mul")
+    a, b = _check_elementwise(a, b, "mul")
+    return _from_op(a.values * b.values, "mul",
+                    (a, lambda g: _fit(g * b.values, a.values)),
+                    (b, lambda g: _fit(g * a.values, b.values)))
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a, b, "div")
+    a, b = _check_elementwise(a, b, "div")
     values = a.values / b.values
-
-    def grad_fn(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, _fit(g / b.values, a.values)))
-        if b.requires_grad:
-            out.append((b, _fit(-g * values / b.values, b.values)))
-        return out
-
-    return _from_op(values, (a, b), grad_fn, "div")
+    return _from_op(values, "div",
+                    (a, lambda g: _fit(g / b.values, a.values)),
+                    (b, lambda g: _fit(-g * values / b.values, b.values)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-
-    def grad_fn(g):
-        return [(a, -g)] if a.requires_grad else []
-
-    return _from_op(-a.values, (a,), grad_fn, "neg")
+    return _from_op(-a.values, "neg", (a, lambda g: -g))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    values = np.maximum(a.values, 0.0)
-
-    def grad_fn(g):
-        return [(a, g * (a.values > 0))] if a.requires_grad else []
-
-    return _from_op(values, (a,), grad_fn, "relu")
+    return _from_op(np.maximum(a.values, 0.0), "relu", (a, lambda g: g * (a.values > 0)))
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -313,11 +279,7 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     values = _sigmoid_values(a.values)
-
-    def grad_fn(g):
-        return [(a, g * values * (1.0 - values))] if a.requires_grad else []
-
-    return _from_op(values, (a,), grad_fn, "sigmoid")
+    return _from_op(values, "sigmoid", (a, lambda g: g * values * (1.0 - values)))
 
 
 def sigmoid_values(x) -> np.ndarray:
@@ -327,21 +289,13 @@ def sigmoid_values(x) -> np.ndarray:
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-
-    def grad_fn(g):
-        return [(a, g * 2.0 * a.values)] if a.requires_grad else []
-
-    return _from_op(np.square(a.values), (a,), grad_fn, "square")
+    return _from_op(np.square(a.values), "square", (a, lambda g: g * 2.0 * a.values))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     values = np.exp(a.values)
-
-    def grad_fn(g):
-        return [(a, g * values)] if a.requires_grad else []
-
-    return _from_op(values, (a,), grad_fn, "exp")
+    return _from_op(values, "exp", (a, lambda g: g * values))
 
 
 def bce_with_logits(z, target) -> Tensor:
@@ -358,17 +312,9 @@ def bce_with_logits(z, target) -> Tensor:
                          f"!= logit shape {z.shape}")
     n = z.size
     softplus = np.maximum(z.values, 0.0) + np.log1p(np.exp(-np.abs(z.values)))
-    values = np.sum(softplus - target.values * z.values) / n
-
-    def grad_fn(g):
-        out = []
-        if z.requires_grad:
-            out.append((z, g * (_sigmoid_values(z.values) - target.values) / n))
-        if target.requires_grad:
-            out.append((target, g * -z.values / n))
-        return out
-
-    return _from_op(values, (z, target), grad_fn, "bce_with_logits")
+    return _from_op(np.sum(softplus - target.values * z.values) / n, "bce_with_logits",
+                    (z, lambda g: g * (_sigmoid_values(z.values) - target.values) / n),
+                    (target, lambda g: g * -z.values / n))
 
 
 # -- linear algebra and structure ----------------------------------------
@@ -379,38 +325,22 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    values = a.values @ b.values
-
-    def grad_fn(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, g @ b.values.T))
-        if b.requires_grad:
-            out.append((b, a.values.T @ g))
-        return out
-
-    return _from_op(values, (a, b), grad_fn, "matmul")
+    return _from_op(a.values @ b.values, "matmul",
+                    (a, lambda g: g @ b.values.T),
+                    (b, lambda g: a.values.T @ g))
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ValueError(f"transpose expects a 2-d tensor, got shape {a.shape}")
-
-    def grad_fn(g):
-        return [(a, g.T)] if a.requires_grad else []
-
-    return _from_op(a.values.T, (a,), grad_fn, "transpose")
+    return _from_op(a.values.T, "transpose", (a, lambda g: g.T))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    values = np.reshape(a.values, shape)
-
-    def grad_fn(g):
-        return [(a, g.reshape(a.shape))] if a.requires_grad else []
-
-    return _from_op(values, (a,), grad_fn, "reshape")
+    return _from_op(np.reshape(a.values, shape), "reshape",
+                    (a, lambda g: g.reshape(a.shape)))
 
 
 def expand(a, shape) -> Tensor:
@@ -421,12 +351,8 @@ def expand(a, shape) -> Tensor:
             s != d and d != 1 for s, d in zip(shape, a.shape)):
         raise ValueError(f"cannot expand shape {a.shape} to {shape}")
     axes = tuple(i for i, (s, d) in enumerate(zip(shape, a.shape)) if d == 1 and s != 1)
-    values = np.broadcast_to(a.values, shape)
-
-    def grad_fn(g):
-        return [(a, g.sum(axis=axes, keepdims=True))] if a.requires_grad else []
-
-    return _from_op(values, (a,), grad_fn, "expand")
+    return _from_op(np.broadcast_to(a.values, shape), "expand",
+                    (a, lambda g: g.sum(axis=axes, keepdims=True)))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -434,14 +360,15 @@ def concat(tensors, axis: int = 1) -> Tensor:
     if not tensors:
         raise ValueError("concat of zero tensors")
     values = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    axis %= values.ndim
+    stops = np.cumsum([t.shape[axis] for t in tensors])
 
-    def grad_fn(g):
-        pieces = np.split(g, offsets, axis=axis)
-        return [(t, p) for t, p in zip(tensors, pieces) if t.requires_grad]
+    def piece(start, stop):
+        index = (slice(None),) * axis + (slice(start, stop),)
+        return lambda g: g[index]
 
-    return _from_op(values, tuple(tensors), grad_fn, "concat")
+    return _from_op(values, "concat", *((t, piece(stop - t.shape[axis], stop))
+                                        for t, stop in zip(tensors, stops)))
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -450,16 +377,13 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         raise ValueError(f"slice_cols expects a 2-d tensor, got shape {a.shape}")
     if not (0 <= start < stop <= a.shape[1]):
         raise ValueError(f"slice_cols: [{start}:{stop}] out of range for {a.shape}")
-    values = a.values[:, start:stop]
 
-    def grad_fn(g):
-        if not a.requires_grad:
-            return []
+    def adjoint(g):
         full = np.zeros_like(a.values)
         full[:, start:stop] = g
-        return [(a, full)]
+        return full
 
-    return _from_op(values, (a,), grad_fn, "slice_cols")
+    return _from_op(a.values[:, start:stop], "slice_cols", (a, adjoint))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -468,20 +392,18 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         if not -a.ndim <= axis < a.ndim:
             raise ValueError(f"reduce_sum: axis {axis} out of range for shape {a.shape}")
         axis = axis % a.ndim
-    values = np.sum(a.values, axis=axis, keepdims=keepdims)
 
-    def grad_fn(g):
-        if not a.requires_grad:
-            return []
+    def adjoint(g):
         gg = np.asarray(g)
         if not keepdims:
             if axis is None:
                 gg = gg.reshape((1,) * a.ndim)
             else:
                 gg = np.expand_dims(gg, axis)
-        return [(a, np.broadcast_to(gg, a.shape))]
+        return np.broadcast_to(gg, a.shape)
 
-    return _from_op(values, (a,), grad_fn, "reduce_sum")
+    return _from_op(np.sum(a.values, axis=axis, keepdims=keepdims), "reduce_sum",
+                    (a, adjoint))
 
 
 def rows(table, indices) -> Tensor:
@@ -494,16 +416,13 @@ def rows(table, indices) -> Tensor:
         raise ValueError("rows expects a 1-d integer index array")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(f"row index out of range for table with {table.shape[0]} rows")
-    values = table.values[idx]
 
-    def grad_fn(g):
-        if not table.requires_grad:
-            return []
+    def adjoint(g):
         full = np.zeros_like(table.values)
         np.add.at(full, idx, g)
-        return [(table, full)]
+        return full
 
-    return _from_op(values, (table,), grad_fn, "rows")
+    return _from_op(table.values[idx], "rows", (table, adjoint))
 
 
 def pairwise_mul(a, b) -> Tensor:
@@ -520,23 +439,21 @@ def pairwise_mul(a, b) -> Tensor:
     m = b.shape[1]
     values = (a.values[:, :, None] * b.values[:, None, :]).reshape(n, h * m)
 
-    def grad_fn(g):
-        g3 = g.reshape(n, h, m)
-        out = []
-        if a.requires_grad:
-            # Not einsum or matmul: both sum the last axis in another order
-            # than numpy's pairwise sum, which changes low bits and with
-            # them xDeepFM's training trajectory.
-            out.append((a, (g3 * b.values[:, None, :]).sum(axis=2)))
-        if b.requires_grad:
-            # Both forms add the h products in order; with m == 1 the summed
-            # axis is the innermost one, which numpy sums pairwise and
-            # einsum does not, so that case keeps the reference form.
-            out.append((b, np.einsum("nij,ni->nj", g3, a.values) if m > 1
-                        else (g3 * a.values[:, :, None]).sum(axis=1)))
-        return out
+    def adjoint_a(g):
+        # Not einsum or matmul: both sum the last axis in another order
+        # than numpy's pairwise sum, which changes low bits and with
+        # them xDeepFM's training trajectory.
+        return (g.reshape(n, h, m) * b.values[:, None, :]).sum(axis=2)
 
-    return _from_op(values, (a, b), grad_fn, "pairwise_mul")
+    def adjoint_b(g):
+        # Both forms add the h products in order; with m == 1 the summed
+        # axis is the innermost one, which numpy sums pairwise and
+        # einsum does not, so that case keeps the reference form.
+        g3 = g.reshape(n, h, m)
+        return (np.einsum("nij,ni->nj", g3, a.values) if m > 1
+                else (g3 * a.values[:, :, None]).sum(axis=1))
+
+    return _from_op(values, "pairwise_mul", (a, adjoint_a), (b, adjoint_b))
 
 
 def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -549,9 +466,4 @@ def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = No
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    values = a.values * mask
-
-    def grad_fn(g):
-        return [(a, g * mask)] if a.requires_grad else []
-
-    return _from_op(values, (a,), grad_fn, "dropout")
+    return _from_op(a.values * mask, "dropout", (a, lambda g: g * mask))

@@ -1,0 +1,119 @@
+"""Bitwise-parity digest of training: one sha256 per run, plus a combined one.
+
+Run it on two checkouts and compare the last line:
+
+    PYTHONPATH=src python tests/parity_digest.py
+
+Each of the 15 runs trains on a small seeded synthetic task and hashes the
+bytes of every parameter it trained (model, gate, projectors) together with
+the ``repr`` of its per-epoch records: epoch, loss, monitored value and the
+stop flag. Epoch seconds are wall time and are left out. Nothing depends on
+``PYTHONHASHSEED``: runs, parameters and records are hashed in list order.
+pytest does not collect this file.
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+from ctrkd.data import EncodedDataset
+from ctrkd.distill import DistillConfig
+from ctrkd.models import PRESETS, FieldDims, Model, spec_from_preset
+from ctrkd.synth import SyntheticSpec, synthetic_dataset
+from ctrkd.train import (KD_LOSS_MIN, VAL_AUC_MAX, TrainHyper, train_student_cotrain,
+                         train_student_pretrain, train_teacher)
+
+TASK = SyntheticSpec(n_cat=4, vocab=30, n_num=2, latent_dim=3)
+HYPER = TrainHyper(lr=0.01, batch_size=250, max_epochs=3, patience=3,
+                   kd_monitor_rows=500)
+SHAPE = dict(embedding_dim=4, hidden=(16, 8), cross_layers=2, cin_maps=(3, 2))
+
+
+def _digest(params, records) -> str:
+    h = hashlib.sha256()
+    for p in params:
+        h.update(p.name.encode())
+        h.update(p.values.tobytes())
+    for record in records:
+        h.update(repr([(e.epoch, e.loss, e.monitor, e.stopped)
+                       for e in record.epochs]).encode())
+        h.update(repr(record.best_epoch).encode())
+    return h.hexdigest()
+
+
+def _distill_params(student, result):
+    params = student.parameters()
+    if result.gate is not None:
+        params += result.gate.parameters()
+    for proj in result.projectors or ():
+        params += proj.parameters()
+    return params
+
+
+def runs():
+    """Yield (name, digest) for every run, in a fixed order."""
+    ds, _ = synthetic_dataset(2500, seed=11, spec=TASK)
+    train, val = ds.subset(np.arange(2000)), ds.subset(np.arange(2000, 2500))
+    dims = FieldDims((TASK.vocab,) * TASK.n_cat, TASK.n_num)
+
+    teachers = {}
+    for i, preset in enumerate(PRESETS):
+        model = Model(spec_from_preset(preset, **SHAPE), dims, seed=20 + i)
+        record = train_teacher(model, train, HYPER, seed=20 + i, val_data=val)
+        teachers[preset] = model
+        yield f"teacher/{preset}", _digest(model.parameters(), [record])
+
+    # dropout, L2 on embeddings and an early stop that restores a snapshot
+    model = Model(spec_from_preset("dnn", **{**SHAPE, "dropout": 0.3}), dims, seed=40)
+    hyper = replace(HYPER, l2_embedding=1e-3, patience=1, max_epochs=4)
+    record = train_teacher(model, train, hyper, seed=40, val_data=val)
+    yield "teacher/dnn-dropout-l2", _digest(model.parameters(), [record])
+
+    # one field and no numerics: the CIN's pairwise product has m == 1
+    one = FieldDims((TASK.vocab,), 0)
+    one_train, one_val = (EncodedDataset(d.cat[:, :1], d.num[:, :0], d.labels)
+                          for d in (train, val))
+    model = Model(spec_from_preset("xdeepfm", **SHAPE), one, seed=41)
+    record = train_teacher(model, one_train, HYPER, seed=41, val_data=one_val)
+    yield "teacher/xdeepfm-one-field", _digest(model.parameters(), [record])
+
+    three = [teachers[name] for name in ("deepfm", "dcn", "xdeepfm")]
+    student_spec = spec_from_preset("dnn", **SHAPE)
+    pretrain = [
+        ("gated-kd_loss_min", three, DistillConfig(tau=2.0, gating=True), KD_LOSS_MIN),
+        ("val_auc_max", three, DistillConfig(tau=2.0), VAL_AUC_MAX),
+        ("hint", [teachers["deepfm"]],
+         DistillConfig(method="hint", beta=1e-3, gamma=1.0), KD_LOSS_MIN),
+        ("beta0", [teachers["fm"]], DistillConfig(beta=0.0, gamma=1.0), VAL_AUC_MAX),
+    ]
+    for name, group, dcfg, stop in pretrain:
+        student = Model(student_spec, dims, seed=50)
+        result = train_student_pretrain(student, group, dcfg, train, HYPER, seed=50,
+                                        val_data=val, stop_mode=stop)
+        yield f"student/{name}", _digest(_distill_params(student, result), [result.record])
+
+    cotrain = [("soft", DistillConfig(tau=2.0, scheme="cotrain")),
+               ("hint", DistillConfig(method="hint", beta=1e-3, gamma=1.0,
+                                      scheme="cotrain"))]
+    for name, dcfg in cotrain:
+        teacher = Model(spec_from_preset("deepfm", **SHAPE), dims, seed=60)
+        student = Model(student_spec, dims, seed=61)
+        records = train_student_cotrain(teacher, student, dcfg, train, HYPER, seed=61)
+        yield f"cotrain/{name}", _digest(teacher.parameters() + student.parameters(),
+                                         records)
+
+
+def main() -> int:
+    combined = hashlib.sha256()
+    for name, digest in runs():
+        print(f"{digest}  {name}", flush=True)
+        combined.update(f"{name} {digest}\n".encode())
+    print(f"{combined.hexdigest()}  combined")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -193,6 +193,17 @@ def test_cotrain_scheme_through_pipeline(tmp_path):
     assert any(r.model == "student_kd" for r in report.rows)
 
 
+def test_cotrain_with_two_teachers_fails_before_any_student_is_trained(tmp_path):
+    cfg = load_cfg(tiny_config(tmp_path, extra=(
+        "distill.scheme = cotrain\nensemble.mode = M\nensemble.teachers = fm,lr\n")))
+    experiment.stage_preprocess(cfg)
+    experiment.stage_teachers_from_disk(cfg)
+    with pytest.raises(experiment.StageError, match="exactly one teacher"):
+        experiment._run_stage("distill", experiment.stage_distill, cfg)
+    students = experiment._student_dir(cfg.output_dir)
+    assert not os.path.exists(students) or os.listdir(students) == []
+
+
 def test_cli_full_cycle(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     for verb in ("preprocess", "train-teacher", "distill", "evaluate", "report"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,37 @@ def test_pairwise_mul_b_adjoint_is_bitwise_the_reference(shape):
     assert gb.tobytes() == (g3 * a.values[:, :, None]).sum(axis=1).tobytes()
 
 
+def test_multi_input_ops_run_the_adjoints_of_live_inputs_only():
+    # (op, input shapes); size-1 operands exercise the elementwise reduction
+    ops = {
+        "add": (T.add, [(3, 4), (3, 4)]),
+        "sub": (T.sub, [(3, 4), (1, 1)]),
+        "mul": (T.mul, [(1, 1), (3, 4)]),
+        "div": (T.div, [(3, 4), (3, 4)]),
+        "matmul": (T.matmul, [(3, 4), (4, 2)]),
+        "bce_with_logits": (T.bce_with_logits, [(3, 1), (3, 1)]),
+        "concat": (lambda *ts: T.concat(ts, axis=1), [(3, 2), (3, 1), (3, 3)]),
+        "pairwise_mul": (T.pairwise_mul, [(3, 2), (3, 4)]),
+    }
+    rng = np.random.default_rng(8)
+    for name, (op, shapes) in ops.items():
+        arrays = [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
+        g = np.asarray(rng.normal(size=op(*map(Tensor, arrays)).shape))
+
+        def adjoints(live):
+            inputs = [parameter(x) if i in live else Tensor(x) for i, x in enumerate(arrays)]
+            pairs = op(*inputs)._grad_fn(g)
+            assert [id(t) for t, _ in pairs] == [id(inputs[i]) for i in live], (name, live)
+            return dict(zip(live, (pg for _, pg in pairs)))
+
+        everything = adjoints(tuple(range(len(arrays))))
+        for k in range(1, len(arrays)):
+            for live in itertools.combinations(range(len(arrays)), k):
+                for i, pg in adjoints(live).items():
+                    assert pg.shape == shapes[i], (name, live, i)
+                    assert pg.tobytes() == everything[i].tobytes(), (name, live, i)
+
+
 def test_grad_sums_over_all_uses():
     w = parameter([2.0], "w")
     out = T.mul(w, w) + w  # w*w + w -> d/dw = 2w + 1
@@ -259,16 +292,17 @@ def test_structural_ops_gradcheck():
     w = parameter(rng.normal(size=(4, 3)), "w")
     b = parameter(rng.normal(size=(1, 3)), "b")
 
-    def loss():
+    def loss(axis):
         h = T.matmul(Tensor(rng_x), w)
         h = T.add(h, T.expand(b, h.shape))
-        h = T.concat([h, T.square(h)], axis=1)
-        h = T.slice_cols(h, 1, 5)
+        h = T.concat([h, T.square(h)], axis=axis)
+        h = T.slice_cols(h, 1, 3 if axis == 0 else 5)
         h = T.reshape(h, (2, 2, 2))
         return T.reduce_sum(T.exp(T.reduce_sum(h, axis=2) * 0.1))
 
     rng_x = rng.normal(size=(2, 4))
-    check_grads(loss, [w, b], tol=1e-6)
+    for axis in (1, 0, -1):
+        check_grads(lambda: loss(axis), [w, b], tol=1e-6)
 
 
 def test_rows_gather_and_scatter():
