@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .data import (CATEGORICAL, NUMERIC, FieldSchema, RandomRatioSplit,
                    SequentialSplit, TableSchema)
-from .distill import DistillConfig
+from .distill import HINT, PRETRAIN, DistillConfig
 from .models import PRESETS, ModelSpec, _ints, spec_from_preset
 from .train import TrainHyper
 
@@ -51,7 +51,16 @@ def _bool(raw: str) -> bool:
         return True
     if raw.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError("expected a boolean")
+
+
+def _choice(*allowed: str):
+    """Parser for a value that must be one of ``allowed``."""
+    def parse(raw: str) -> str:
+        if raw not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}")
+        return raw
+    return parse
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -77,103 +86,65 @@ def _span(raw: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-_MODEL_KEYS = {
-    "model": str,
-    "embedding_dim": int,
-    "hidden": _ints,
-    "dropout": float,
-    "cross_layers": int,
-    "cin_maps": _ints,
-}
+def _model_keys(side: str, model: str) -> dict[str, tuple]:
+    return {f"{side}.model": (_choice(*PRESETS), model),
+            f"{side}.embedding_dim": (int, "10"),
+            f"{side}.hidden": (_ints, "64,64"),
+            f"{side}.dropout": (float, "0.0"),
+            f"{side}.cross_layers": (int, "3"),
+            f"{side}.cin_maps": (_ints, "4,4")}
 
-SCHEMA: dict[str, object] = {
+
+# key -> (parser, default text); a key whose default is None is absent from
+# the parsed values unless the config or its format recipe sets it
+KEYS: dict[str, tuple] = {
     # data
-    "data.path": str,
-    "data.format": str,            # criteo | avazu | generic
-    "data.delimiter": str,         # tab | comma
-    "data.label_column": int,
-    "data.numeric_columns": _span,
-    "data.categorical_columns": _span,
-    "data.min_count": int,
-    "data.split": str,             # random | sequential
-    "data.split_ratios": _floats,
-    "data.split_seed": int,
-    "data.day_column": int,
-    "data.train_days": int,
+    "data.path": (str, None),
+    "data.format": (_choice("generic", "criteo", "avazu"), "generic"),
+    "data.delimiter": (_choice("tab", "comma"), "tab"),
+    "data.label_column": (int, "0"),
+    "data.numeric_columns": (_span, ""),
+    "data.categorical_columns": (_span, ""),
+    "data.min_count": (int, "10"),
+    "data.split": (_choice("random", "sequential"), "random"),
+    "data.split_ratios": (_floats, "0.8,0.1,0.1"),
+    "data.split_seed": (int, "2020"),
+    "data.day_column": (int, None),
+    "data.train_days": (int, None),
     # distillation
-    "distill.method": str,
-    "distill.tau": float,
-    "distill.beta": float,
-    "distill.gamma": float,
-    "distill.scheme": str,
-    "distill.gating": _bool,
-    "distill.stop": str,           # kd_loss | val_auc
-    "distill.merge_val": _bool,
+    "distill.method": (str, "soft_label"),
+    "distill.tau": (float, "1.0"),
+    "distill.beta": (float, "0.5"),
+    "distill.gamma": (float, "0.5"),
+    "distill.scheme": (str, "pretrain"),
+    "distill.gating": (_bool, "false"),
+    "distill.stop": (_choice("kd_loss", "val_auc"), "kd_loss"),
+    "distill.merge_val": (_bool, "true"),
     # training
-    "train.lr": float,
-    "train.batch_size": int,
-    "train.max_epochs": int,
-    "train.patience": int,
-    "train.l2_embedding": float,
-    "train.seeds": _ints,
-    "train.kd_monitor_rows": int,
-    "train.teacher_seed": int,
-    # ensemble generation
-    "ensemble.mode": str,          # M | D
-    "ensemble.teachers": _strs,
-    "ensemble.seeds": _ints,
-    "ensemble.partitions": int,
-    "ensemble.partition_seed": int,
+    "train.lr": (float, "0.001"),
+    "train.batch_size": (int, "2000"),
+    "train.max_epochs": (int, "100"),
+    "train.patience": (int, "3"),
+    "train.l2_embedding": (float, "0.0"),
+    "train.seeds": (_ints, "1"),
+    "train.kd_monitor_rows": (int, "8192"),
+    "train.teacher_seed": (int, "100"),
+    # ensemble generation; without ensemble.mode the teacher stage is mode M
+    # over teacher.model and train.teacher_seed
+    "ensemble.mode": (_choice("M", "D"), None),
+    "ensemble.teachers": (_strs, None),
+    "ensemble.seeds": (_ints, None),
+    "ensemble.partitions": (int, "0"),
+    "ensemble.partition_seed": (int, "7"),
     # reporting
-    "report.baseline": str,
-    "report.include_plain_student": _bool,
-    "report.ensemble_metric": str,  # metric_average | prediction_average
+    "report.baseline": (str, "student_plain"),
+    "report.include_plain_student": (_bool, "true"),
+    "report.ensemble_metric": (_choice("metric_average", "prediction_average"),
+                               "metric_average"),
     # output
-    "output.dir": str,
-}
-SCHEMA.update({f"teacher.{k}": v for k, v in _MODEL_KEYS.items()})
-SCHEMA.update({f"student.{k}": v for k, v in _MODEL_KEYS.items()})
-
-DEFAULTS: dict[str, str] = {
-    "data.format": "generic",
-    "data.label_column": "0",
-    "data.min_count": "10",
-    "data.split": "random",
-    "data.split_ratios": "0.8,0.1,0.1",
-    "data.split_seed": "2020",
-    "distill.method": "soft_label",
-    "distill.tau": "1.0",
-    "distill.beta": "0.5",
-    "distill.gamma": "0.5",
-    "distill.scheme": "pretrain",
-    "distill.gating": "false",
-    "distill.stop": "kd_loss",
-    "distill.merge_val": "true",
-    "train.lr": "0.001",
-    "train.batch_size": "2000",
-    "train.max_epochs": "100",
-    "train.patience": "3",
-    "train.l2_embedding": "0.0",
-    "train.seeds": "1",
-    "train.kd_monitor_rows": "8192",
-    "train.teacher_seed": "100",
-    "teacher.model": "deepfm",
-    "teacher.embedding_dim": "10",
-    "teacher.hidden": "64,64",
-    "teacher.dropout": "0.0",
-    "teacher.cross_layers": "3",
-    "teacher.cin_maps": "4,4",
-    "student.model": "dnn",
-    "student.embedding_dim": "10",
-    "student.hidden": "64,64",
-    "student.dropout": "0.0",
-    "student.cross_layers": "3",
-    "student.cin_maps": "4,4",
-    "ensemble.partition_seed": "7",
-    "report.baseline": "student_plain",
-    "report.include_plain_student": "true",
-    "report.ensemble_metric": "metric_average",
-    "output.dir": "runs/default",
+    "output.dir": (str, "runs/default"),
+    **_model_keys("teacher", "deepfm"),
+    **_model_keys("student", "dnn"),
 }
 
 # format presets per the public dataset layouts
@@ -209,7 +180,8 @@ class ExperimentConfig:
     """Parsed, validated configuration with typed accessors."""
 
     def __init__(self, raw: dict[str, str], base_dir: str = "."):
-        merged = dict(DEFAULTS)
+        merged = {key: default for key, (_, default) in KEYS.items()
+                  if default is not None}
         recipe = FORMAT_RECIPES.get(raw.get("data.format", merged["data.format"]))
         if recipe:
             merged.update(recipe)
@@ -218,40 +190,33 @@ class ExperimentConfig:
         self.base_dir = base_dir
         self.values: dict[str, object] = {}
         for key, text in merged.items():
-            if key not in SCHEMA:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                self.values[key] = SCHEMA[key](text)  # type: ignore[operator]
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as err:
+                self.values[key] = KEYS[key][0](text)
+            except ValueError as err:
                 raise ConfigError(f"bad value for {key}: {text!r} ({err})") from None
         self._validate()
 
     def _validate(self):
-        if self["data.format"] not in ("generic", "criteo", "avazu"):
-            raise ConfigError(f"unknown data.format {self['data.format']!r}")
-        if self["data.split"] not in ("random", "sequential"):
-            raise ConfigError(f"unknown data.split {self['data.split']!r}")
-        if self["distill.stop"] not in ("kd_loss", "val_auc"):
-            raise ConfigError(f"unknown distill.stop {self['distill.stop']!r}")
-        if self["report.ensemble_metric"] not in ("metric_average", "prediction_average"):
-            raise ConfigError("report.ensemble_metric must be metric_average "
-                              "or prediction_average")
-        if "ensemble.mode" in self.values and self["ensemble.mode"] not in ("M", "D"):
-            raise ConfigError("ensemble.mode must be M or D")
-        for side in ("teacher", "student"):
-            if self[f"{side}.model"] not in PRESETS:
-                raise ConfigError(f"{side}.model must be one of {PRESETS}")
         if any(s < 0 for s in self["train.seeds"]):
             raise ConfigError("seeds must be non-negative")
-        self.distill_config()  # surfaces weight/temperature violations early
+        dcfg = self.distill_config()  # surfaces weight/temperature violations early
+        if (dcfg.scheme == PRETRAIN and dcfg.method == HINT and dcfg.beta == 0.0
+                and self["distill.stop"] == "kd_loss"):
+            raise ConfigError("hint distillation with distill.beta = 0 has no KD loss "
+                              "to stop on; set distill.stop = val_auc")
+        if self["report.baseline"] == "student_plain" and \
+                not self["report.include_plain_student"]:
+            raise ConfigError("report.baseline = student_plain needs "
+                              "report.include_plain_student = true")
 
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
+    def get(self, key: str):
+        """The value of a key without a default, or None when it is not set."""
+        return self.values.get(key)
 
     # -- domain object builders -------------------------------------------
     def resolve_path(self, key: str) -> str:
@@ -259,13 +224,11 @@ class ExperimentConfig:
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
     def table_schema(self) -> TableSchema:
-        delim = {"tab": "\t", "comma": ","}.get(self.get("data.delimiter", "tab"))
-        if delim is None:
-            raise ConfigError("data.delimiter must be 'tab' or 'comma'")
+        delim = {"tab": "\t", "comma": ","}[self["data.delimiter"]]
         fields = [FieldSchema(f"I{i + 1}", NUMERIC, pos)
-                  for i, pos in enumerate(self.get("data.numeric_columns", ()))]
+                  for i, pos in enumerate(self["data.numeric_columns"])]
         fields += [FieldSchema(f"C{i + 1}", CATEGORICAL, pos)
-                   for i, pos in enumerate(self.get("data.categorical_columns", ()))]
+                   for i, pos in enumerate(self["data.categorical_columns"])]
         if not fields:
             raise ConfigError("no feature columns configured")
         try:
@@ -283,9 +246,10 @@ class ExperimentConfig:
             raise ConfigError("sequential split needs data.day_column and data.train_days")
         return SequentialSplit(self["data.day_column"], self["data.train_days"])
 
-    def model_spec(self, side: str) -> ModelSpec:
+    def model_spec(self, side: str, preset: str | None = None) -> ModelSpec:
+        """The ``side``'s model, or ``preset`` built with the ``side``'s shape keys."""
         return spec_from_preset(
-            self[f"{side}.model"],
+            preset or self[f"{side}.model"],
             embedding_dim=self[f"{side}.embedding_dim"],
             hidden=self[f"{side}.hidden"],
             dropout=self[f"{side}.dropout"],

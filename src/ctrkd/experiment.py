@@ -15,16 +15,15 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import persist
 from .config import ExperimentConfig, format_kv, parse_config_text, parse_kv
-from .data import (EncodedDataset, FeatureVocabulary, RandomRatioSplit,
-                   encode_rows, read_rows, split_rows)
+from .data import EncodedDataset, FeatureVocabulary, encode_rows, read_rows, split_rows
 from .metrics import auc, logloss
-from .models import FieldDims, Model, spec_from_preset
+from .models import FieldDims, Model
 from .report import ExperimentReport, ReportRow
 from .train import (KD_LOSS_MIN, VAL_AUC_MAX, predict_dataset,
                     train_student_cotrain, train_student_pretrain,
@@ -107,10 +106,13 @@ def _teacher_meta_path(outdir: str) -> str:
     return os.path.join(outdir, "teachers_meta.csv")
 
 
-def _write_meta(path: str, rows: list[dict]) -> None:
+META_FIELDS = ["model", "seed", "ckpt", "best_epoch", "seconds"]
+RUN_FIELDS = ["model", "seed", "auc", "logloss", "best_epoch", "seconds"]
+
+
+def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=["model", "seed", "ckpt",
-                                               "best_epoch", "seconds"])
+        writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -120,76 +122,72 @@ def _read_meta(path: str) -> list[dict]:
         return list(csv.DictReader(f))
 
 
-def _train_one_teacher(cfg: ExperimentConfig, art: DataArtifacts, name: str,
-                       spec, seed: int, train_ds, val_ds) -> dict:
-    hyper = cfg.train_hyper()
-    model = Model(spec, art.dims, seed=seed)
-    record = train_teacher(model, train_ds, hyper, seed=seed, val_data=val_ds)
-    outdir = cfg.output_dir
-    os.makedirs(_teacher_dir(outdir), exist_ok=True)
-    ckpt = os.path.join(_teacher_dir(outdir), f"{name}.ckpt")
+def _save_trained(directory: str, name: str, label: str, model: Model, seed: int,
+                  record, fingerprint: str, extras=None) -> dict:
+    """Write ``name``'s checkpoint and record CSV; return its meta row."""
+    ckpt = os.path.join(directory, f"{name}.ckpt")
     persist.save(ckpt, model, seed=seed, epoch=record.best_epoch,
-                 vocab_fingerprint=art.fingerprint)
-    record.to_csv(os.path.join(_teacher_dir(outdir), f"{name}.record.csv"))
-    return {"model": f"teacher/{name}", "seed": seed, "ckpt": ckpt,
+                 vocab_fingerprint=fingerprint, extras=extras)
+    record.to_csv(os.path.join(directory, f"{name}.record.csv"))
+    return {"model": label, "seed": seed, "ckpt": ckpt,
             "best_epoch": record.best_epoch, "seconds": round(record.total_seconds, 3)}
 
 
-def stage_teachers(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
-    """Train the configured teacher, or a whole ensemble of them."""
-    if "ensemble.mode" in cfg.values:
-        entries = make_ensemble(cfg, art)
-    else:
-        spec = cfg.model_spec("teacher")
-        name = cfg["teacher.model"]
-        entries = [_train_one_teacher(cfg, art, name, spec,
-                                      cfg["train.teacher_seed"], art.train, art.val)]
-    _write_meta(_teacher_meta_path(cfg.output_dir), entries)
-    return entries
+def _train_and_save(cfg: ExperimentConfig, art: DataArtifacts, directory: str,
+                    name: str, label: str, spec, seed: int, train_ds, val_ds) -> dict:
+    """Train a fresh model on BCE with validation-AUC stopping, then save it."""
+    model = Model(spec, art.dims, seed=seed)
+    record = train_teacher(model, train_ds, cfg.train_hyper(), seed=seed, val_data=val_ds)
+    return _save_trained(directory, name, label, model, seed, record, art.fingerprint)
 
 
 def make_ensemble(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
-    """Generate teacher checkpoints: mode M varies architectures/seeds on the
-    shared split, mode D re-partitions train+val per teacher (same test set)."""
-    mode = cfg["ensemble.mode"]
+    """Generate teacher checkpoints: mode M (the default) varies architectures/
+    seeds on the shared split, mode D re-partitions train+val per teacher
+    (same test set)."""
+    directory = _teacher_dir(cfg.output_dir)
+    os.makedirs(directory, exist_ok=True)
     base_seed = cfg["train.teacher_seed"]
     entries = []
-    if mode == "M":
+    if cfg.get("ensemble.mode") != "D":
         presets = cfg.get("ensemble.teachers") or (cfg["teacher.model"],)
         seeds = cfg.get("ensemble.seeds") or (base_seed,)
         for preset in presets:
-            spec = spec_from_preset(preset,
-                                    embedding_dim=cfg["teacher.embedding_dim"],
-                                    hidden=cfg["teacher.hidden"],
-                                    dropout=cfg["teacher.dropout"],
-                                    cross_layers=cfg["teacher.cross_layers"],
-                                    cin_maps=cfg["teacher.cin_maps"])
+            spec = cfg.model_spec("teacher", preset)
             for seed in seeds:
                 name = preset if len(seeds) == 1 else f"{preset}-s{seed}"
-                entries.append(_train_one_teacher(cfg, art, name, spec, seed,
-                                                  art.train, art.val))
+                entries.append(_train_and_save(cfg, art, directory, name,
+                                               f"teacher/{name}", spec, seed,
+                                               art.train, art.val))
     else:
-        partitions = cfg.get("ensemble.partitions", 0)
+        partitions = cfg["ensemble.partitions"]
         if partitions < 2:
             raise ValueError("ensemble.mode = D needs ensemble.partitions >= 2")
         spec = cfg.model_spec("teacher")
         preset = cfg["teacher.model"]
         pool = EncodedDataset.concatenate([art.train, art.val])
         train_frac = len(art.train) / len(pool)
-        os.makedirs(_teacher_dir(cfg.output_dir), exist_ok=True)
         for i in range(partitions):
             # fresh random split of the train+val pool; the test set is untouched
             part_seed = cfg["ensemble.partition_seed"] + i
             perm = np.random.default_rng(part_seed).permutation(len(pool))
             cut = int(round(len(pool) * train_frac))
             train_idx, val_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
-            np.savez(os.path.join(_teacher_dir(cfg.output_dir),
-                                  f"{preset}-p{i}.partition.npz"),
+            name = f"{preset}-p{i}"
+            np.savez(os.path.join(directory, f"{name}.partition.npz"),
                      train=train_idx, val=val_idx)
-            entries.append(_train_one_teacher(cfg, art, f"{preset}-p{i}", spec,
-                                              base_seed + i,
-                                              pool.subset(train_idx),
-                                              pool.subset(val_idx)))
+            entries.append(_train_and_save(cfg, art, directory, name,
+                                           f"teacher/{name}", spec, base_seed + i,
+                                           pool.subset(train_idx),
+                                           pool.subset(val_idx)))
+    return entries
+
+
+def stage_teachers_from_disk(cfg: ExperimentConfig) -> list[dict]:
+    """Train the configured teacher ensemble (by default the one
+    ``teacher.model``) and list it in ``teachers_meta.csv``."""
+    entries = make_ensemble(cfg, DataArtifacts.load(cfg.output_dir))
+    _write_csv(_teacher_meta_path(cfg.output_dir), META_FIELDS, entries)
     return entries
 
 
@@ -201,13 +199,9 @@ def _student_meta_path(outdir: str) -> str:
     return os.path.join(outdir, "students_meta.csv")
 
 
-def _load_teachers(cfg: ExperimentConfig, art: DataArtifacts) -> list[tuple[str, Model]]:
-    meta = _read_meta(_teacher_meta_path(cfg.output_dir))
-    out = []
-    for row in meta:
-        ckpt = persist.load(row["ckpt"])
-        out.append((row["model"], ckpt.build_model(expected_fingerprint=art.fingerprint)))
-    return out
+def _load_teachers(cfg: ExperimentConfig, art: DataArtifacts) -> list[Model]:
+    return [persist.load(row["ckpt"]).build_model(expected_fingerprint=art.fingerprint)
+            for row in _read_meta(_teacher_meta_path(cfg.output_dir))]
 
 
 def distill_preflight(cfg: ExperimentConfig) -> None:
@@ -229,59 +223,40 @@ def _distill_seed_job(payload: tuple[str, str, int]) -> list[dict]:
     """Train the per-seed student arms; runs in-process or in a worker."""
     config_text, base_dir, seed = payload
     cfg = parse_config_text(config_text, base_dir)
-    outdir = cfg.output_dir
-    art = DataArtifacts.load(outdir)
+    art = DataArtifacts.load(cfg.output_dir)
     hyper = cfg.train_hyper()
-    os.makedirs(_student_dir(outdir), exist_ok=True)
+    directory = _student_dir(cfg.output_dir)
+    os.makedirs(directory, exist_ok=True)
     rows = []
 
     if cfg["report.include_plain_student"]:
-        plain = Model(cfg.model_spec("student"), art.dims, seed=seed)
-        record = train_teacher(plain, art.train, hyper, seed=seed, val_data=art.val)
-        name = f"{PLAIN_STUDENT}-s{seed}"
-        ckpt = os.path.join(_student_dir(outdir), f"{name}.ckpt")
-        persist.save(ckpt, plain, seed=seed, epoch=record.best_epoch,
-                     vocab_fingerprint=art.fingerprint)
-        record.to_csv(os.path.join(_student_dir(outdir), f"{name}.record.csv"))
-        rows.append({"model": PLAIN_STUDENT, "seed": seed, "ckpt": ckpt,
-                     "best_epoch": record.best_epoch,
-                     "seconds": round(record.total_seconds, 3)})
+        rows.append(_train_and_save(cfg, art, directory, f"{PLAIN_STUDENT}-s{seed}",
+                                    PLAIN_STUDENT, cfg.model_spec("student"), seed,
+                                    art.train, art.val))
 
     dcfg = cfg.distill_config()
     teachers = _load_teachers(cfg, art)
     student = Model(cfg.model_spec("student"), art.dims, seed=seed)
+    extras = {}
     if dcfg.scheme == "cotrain":
-        co_teacher = Model(teachers[0][1].spec, art.dims, seed=cfg["train.teacher_seed"])
+        co_teacher = Model(teachers[0].spec, art.dims, seed=cfg["train.teacher_seed"])
         _, record = train_student_cotrain(co_teacher, student, dcfg, art.train,
                                           hyper, seed=seed)
-        gate = projectors = None
-    elif cfg["distill.stop"] == "kd_loss":
-        train_ds = (EncodedDataset.concatenate([art.train, art.val])
-                    if cfg["distill.merge_val"] else art.train)
-        result = train_student_pretrain(student, [m for _, m in teachers], dcfg,
-                                        train_ds, hyper, seed=seed,
-                                        stop_mode=KD_LOSS_MIN)
-        record, gate, projectors = result.record, result.gate, result.projectors
     else:
-        result = train_student_pretrain(student, [m for _, m in teachers], dcfg,
-                                        art.train, hyper, seed=seed,
-                                        val_data=art.val, stop_mode=VAL_AUC_MAX)
-        record, gate, projectors = result.record, result.gate, result.projectors
-
-    extras = {}
-    if gate is not None:
-        extras.update({p.name: p.values for p in gate.parameters()})
-    if projectors:
-        for proj in projectors:
-            extras.update({p.name: p.values for p in proj.parameters()})
-    name = f"{KD_STUDENT}-s{seed}"
-    ckpt = os.path.join(_student_dir(outdir), f"{name}.ckpt")
-    persist.save(ckpt, student, seed=seed, epoch=record.best_epoch,
-                 vocab_fingerprint=art.fingerprint, extras=extras)
-    record.to_csv(os.path.join(_student_dir(outdir), f"{name}.record.csv"))
-    rows.append({"model": KD_STUDENT, "seed": seed, "ckpt": ckpt,
-                 "best_epoch": record.best_epoch,
-                 "seconds": round(record.total_seconds, 3)})
+        if cfg["distill.stop"] == "kd_loss":
+            stop_mode, val_ds = KD_LOSS_MIN, None
+            train_ds = (EncodedDataset.concatenate([art.train, art.val])
+                        if cfg["distill.merge_val"] else art.train)
+        else:
+            stop_mode, train_ds, val_ds = VAL_AUC_MAX, art.train, art.val
+        result = train_student_pretrain(student, teachers, dcfg, train_ds, hyper,
+                                        seed=seed, val_data=val_ds, stop_mode=stop_mode)
+        record = result.record
+        for part in [result.gate, *(result.projectors or [])]:
+            if part is not None:
+                extras.update({p.name: p.values for p in part.parameters()})
+    rows.append(_save_trained(directory, f"{KD_STUDENT}-s{seed}", KD_STUDENT, student,
+                              seed, record, art.fingerprint, extras))
     return rows
 
 
@@ -295,7 +270,7 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
     else:
         results = [_distill_seed_job(p) for p in payloads]
     rows = [row for group in results for row in group]
-    _write_meta(_student_meta_path(cfg.output_dir), rows)
+    _write_csv(_student_meta_path(cfg.output_dir), META_FIELDS, rows)
     return rows
 
 
@@ -303,6 +278,7 @@ def stage_evaluate(cfg: ExperimentConfig) -> list[ReportRow]:
     """Load every checkpoint and score it on the held-out test split."""
     outdir = cfg.output_dir
     art = DataArtifacts.load(outdir)
+    labels = art.test.labels
     rows: list[ReportRow] = []
     teacher_scores = []
     for meta_path in (_teacher_meta_path(outdir), _student_meta_path(outdir)):
@@ -312,7 +288,6 @@ def stage_evaluate(cfg: ExperimentConfig) -> list[ReportRow]:
             model = persist.load(entry["ckpt"]).build_model(
                 expected_fingerprint=art.fingerprint)
             scores = predict_dataset(model, art.test)
-            labels = art.test.labels
             row = ReportRow(entry["model"], int(entry["seed"]),
                             auc(scores, labels), logloss(scores, labels),
                             int(entry["best_epoch"]), float(entry["seconds"]))
@@ -320,7 +295,6 @@ def stage_evaluate(cfg: ExperimentConfig) -> list[ReportRow]:
             if entry["model"].startswith("teacher/"):
                 teacher_scores.append(scores)
     if len(teacher_scores) >= 2:
-        labels = art.test.labels
         if cfg["report.ensemble_metric"] == "prediction_average":
             mean_scores = np.mean(teacher_scores, axis=0)
             rows.append(ReportRow(TEACHERS_AVG, 0, auc(mean_scores, labels),
@@ -330,25 +304,14 @@ def stage_evaluate(cfg: ExperimentConfig) -> list[ReportRow]:
             rows.append(ReportRow(TEACHERS_AVG, 0,
                                   float(np.mean([r.auc for r in t_rows])),
                                   float(np.mean([r.logloss for r in t_rows])), 0, 0.0))
-    _write_runs_csv(outdir, rows)
+    _write_csv(os.path.join(outdir, "runs.csv"), RUN_FIELDS, [asdict(r) for r in rows])
     return rows
 
 
-def _write_runs_csv(outdir: str, rows: list[ReportRow]) -> None:
-    with open(os.path.join(outdir, "runs.csv"), "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["model", "seed", "auc", "logloss", "best_epoch", "seconds"])
-        for r in rows:
-            writer.writerow([r.model, r.seed, repr(r.auc), repr(r.logloss),
-                             r.best_epoch, r.seconds])
-
-
 def _read_runs_csv(outdir: str) -> list[ReportRow]:
-    with open(os.path.join(outdir, "runs.csv"), newline="", encoding="utf-8") as f:
-        return [ReportRow(r["model"], int(r["seed"]), float(r["auc"]),
-                          float(r["logloss"]), int(r["best_epoch"]),
-                          float(r["seconds"]))
-                for r in csv.DictReader(f)]
+    return [ReportRow(r["model"], int(r["seed"]), float(r["auc"]), float(r["logloss"]),
+                      int(r["best_epoch"]), float(r["seconds"]))
+            for r in _read_meta(os.path.join(outdir, "runs.csv"))]
 
 
 def stage_report(cfg: ExperimentConfig, rows: list[ReportRow] | None = None) -> ExperimentReport:
@@ -380,7 +343,3 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     _write_status(outdir, "ok")
     return report
 
-
-def stage_teachers_from_disk(cfg: ExperimentConfig) -> list[dict]:
-    art = DataArtifacts.load(cfg.output_dir)
-    return stage_teachers(cfg, art)

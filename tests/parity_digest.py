@@ -4,25 +4,38 @@ Run it on two checkouts and compare the last line:
 
     PYTHONPATH=src python tests/parity_digest.py
 
-Each of the 15 runs trains on a small seeded synthetic task and hashes the
-bytes of every parameter it trained (model, gate, projectors) together with
-the ``repr`` of its per-epoch records: epoch, loss, monitored value and the
-stop flag. Epoch seconds are wall time and are left out. Nothing depends on
-``PYTHONHASHSEED``: runs, parameters and records are hashed in list order.
-pytest does not collect this file.
+Each of the 15 library runs trains on a small seeded synthetic task and
+hashes the bytes of every parameter it trained (model, gate, projectors)
+together with the ``repr`` of its per-epoch records: epoch, loss, monitored
+value and the stop flag. Epoch seconds are wall time and are left out.
+
+Each of the 7 pipeline runs is ``ctrkd run`` on a small synthetic file and
+hashes every file under its ``output.dir``, in path order. In CSV files the
+``seconds`` column is blanked and ``ckpt`` is made relative to ``output.dir``;
+every other file is hashed as it is.
+
+Nothing depends on ``PYTHONHASHSEED``: runs, parameters, records and files are
+hashed in list order. pytest does not collect this file.
 """
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
+import io
+import itertools
+import os
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 
+from ctrkd.cli import main as ctrkd_main
 from ctrkd.data import EncodedDataset
 from ctrkd.distill import DistillConfig
 from ctrkd.models import PRESETS, FieldDims, Model, spec_from_preset
-from ctrkd.synth import SyntheticSpec, synthetic_dataset
+from ctrkd.synth import SyntheticSpec, synthetic_dataset, write_synthetic_file
 from ctrkd.train import (KD_LOSS_MIN, VAL_AUC_MAX, TrainHyper, train_student_cotrain,
                          train_student_pretrain, train_teacher)
 
@@ -106,9 +119,85 @@ def runs():
                                          records)
 
 
+PIPELINE_BASE = """\
+data.path = clicks.txt
+data.numeric_columns = 1-2
+data.categorical_columns = 3-6
+data.min_count = 2
+teacher.model = deepfm
+teacher.embedding_dim = 4
+teacher.hidden = 8
+teacher.cross_layers = 2
+teacher.cin_maps = 3
+student.embedding_dim = 4
+student.hidden = 8
+train.lr = 0.01
+train.batch_size = 200
+train.max_epochs = 2
+train.patience = 2
+train.seeds = 1,2
+train.kd_monitor_rows = 300
+distill.tau = 2.0
+"""
+HINT_KEYS = "distill.method = hint\ndistill.beta = 0.001\ndistill.gamma = 1\n"
+PIPELINES = [
+    ("single-teacher", ""),
+    ("M-3-architectures-gated", "ensemble.mode = M\ndistill.gating = true\n"
+                                "ensemble.teachers = deepfm,dcn,xdeepfm\n"),
+    ("M-seeds-prediction-average", "ensemble.mode = M\nensemble.teachers = fm\n"
+                                   "ensemble.seeds = 5,6\n"
+                                   "report.ensemble_metric = prediction_average\n"),
+    ("D-3-partitions", "ensemble.mode = D\nensemble.partitions = 3\n"),
+    ("hint-val_auc", HINT_KEYS + "distill.stop = val_auc\n"),
+    ("hint-kd_loss-no-merge", HINT_KEYS + "distill.merge_val = false\n"),
+    ("cotrain", "distill.scheme = cotrain\n"),
+]
+
+
+def _file_digest(h, path: str, outdir: str) -> None:
+    if path.endswith(".csv"):
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        header = rows[0]
+        for row in rows[1:]:
+            for i, column in enumerate(header):
+                if column == "seconds":
+                    row[i] = ""
+                elif column == "ckpt":
+                    row[i] = os.path.relpath(row[i], outdir)
+        h.update(repr(rows).encode())
+    else:
+        with open(path, "rb") as f:
+            h.update(f.read())
+
+
+def pipeline_runs():
+    """Yield (name, digest) for every ``ctrkd run`` config, in a fixed order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_synthetic_file(os.path.join(tmp, "clicks.txt"), 1000, seed=3,
+                             spec=SyntheticSpec(n_cat=4, vocab=12, n_num=2, latent_dim=2))
+        for name, extra in PIPELINES:
+            cfg_path = os.path.join(tmp, f"{name}.cfg")
+            with open(cfg_path, "w", encoding="utf-8") as f:
+                f.write(PIPELINE_BASE + f"output.dir = {name}\n" + extra)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = ctrkd_main(["run", "-c", cfg_path])
+            if code != 0:
+                raise RuntimeError(f"ctrkd run failed on {name} (exit {code})")
+            outdir = os.path.join(tmp, name)
+            h = hashlib.sha256()
+            for root, dirs, files in os.walk(outdir):
+                dirs.sort()
+                for file in sorted(files):
+                    path = os.path.join(root, file)
+                    h.update(os.path.relpath(path, outdir).encode())
+                    _file_digest(h, path, outdir)
+            yield f"pipeline/{name}", h.hexdigest()
+
+
 def main() -> int:
     combined = hashlib.sha256()
-    for name, digest in runs():
+    for name, digest in itertools.chain(runs(), pipeline_runs()):
         print(f"{digest}  {name}", flush=True)
         combined.update(f"{name} {digest}\n".encode())
     print(f"{combined.hexdigest()}  combined")

@@ -134,3 +134,25 @@ def test_invalid_choices_rejected():
         parse_config_text(MINIMAL + "\nensemble.mode = X\n")
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "\ntrain.seeds = -3\n")
+    for bad in ("data.delimiter = pipe", "data.split = daily", "distill.stop = never",
+                "report.ensemble_metric = median_average"):
+        with pytest.raises(ConfigError, match="expected one of"):
+            parse_config_text(MINIMAL + f"\n{bad}\n")
+
+
+def test_hint_with_beta_zero_cannot_stop_on_kd_loss():
+    hint = MINIMAL + "\ndistill.method = hint\ndistill.beta = 0\ndistill.gamma = 1\n"
+    with pytest.raises(ConfigError, match="distill.stop = val_auc"):
+        parse_config_text(hint)
+    cfg = parse_config_text(hint + "distill.stop = val_auc\n")
+    assert cfg["distill.stop"] == "val_auc"
+    # co-training has no early stop, so distill.stop does not apply
+    assert parse_config_text(hint + "distill.scheme = cotrain\n")["distill.beta"] == 0.0
+
+
+def test_plain_student_baseline_needs_the_plain_student():
+    no_plain = MINIMAL + "\nreport.include_plain_student = false\n"
+    with pytest.raises(ConfigError, match="report.include_plain_student = true"):
+        parse_config_text(no_plain)
+    cfg = parse_config_text(no_plain + "report.baseline = student_kd\n")
+    assert cfg["report.baseline"] == "student_kd"

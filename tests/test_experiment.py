@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ def test_failed_stage_flags_status(tmp_path):
         experiment.run(cfg)
     assert err.value.stage == "preprocess"
     assert (tmp_path / "out" / "status.txt").read_text().startswith("failed: preprocess")
+
+
+def test_default_teacher_stage_is_mode_m(tmp_path):
+    # no ensemble key at all trains what ensemble.mode = M alone trains
+    outputs = []
+    for name, extra in (("default", ""), ("mode_m", "ensemble.mode = M\n")):
+        (tmp_path / name).mkdir()
+        cfg = load_cfg(tiny_config(tmp_path / name, extra=extra))
+        experiment.stage_preprocess(cfg)
+        experiment.stage_teachers_from_disk(cfg)
+        meta = experiment._read_meta(experiment._teacher_meta_path(cfg.output_dir))
+        outputs.append([({**row, "ckpt": os.path.relpath(row["ckpt"], cfg.output_dir),
+                          "seconds": None}, Path(row["ckpt"]).read_bytes())
+                        for row in meta])
+    assert [row["model"] for row, _ in outputs[0]] == ["teacher/fm"]
+    assert outputs[0] == outputs[1]
 
 
 def test_make_ensemble_mode_m_architectures(tmp_path):
