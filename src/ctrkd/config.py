@@ -19,6 +19,12 @@ from .models import PRESETS, ModelSpec, _ints, spec_from_preset
 from .train import TrainHyper
 
 
+# report names of the non-teacher models
+PLAIN_STUDENT = "student_plain"
+KD_STUDENT = "student_kd"
+TEACHERS_AVG = "teachers_avg"
+
+
 class ConfigError(ValueError):
     pass
 
@@ -206,10 +212,26 @@ class ExperimentConfig:
                 and self["distill.stop"] == "kd_loss"):
             raise ConfigError("hint distillation with distill.beta = 0 has no KD loss "
                               "to stop on; set distill.stop = val_auc")
-        if self["report.baseline"] == "student_plain" and \
-                not self["report.include_plain_student"]:
+        for side, preset in [("teacher", None), ("student", None),
+                             *(("teacher", p) for p in self.get("ensemble.teachers") or ())]:
+            try:
+                self.model_spec(side, preset)
+            except ValueError as err:
+                raise ConfigError(f"bad {side} model: {err}") from None
+        baseline = self["report.baseline"]
+        if baseline == PLAIN_STUDENT and not self["report.include_plain_student"]:
             raise ConfigError("report.baseline = student_plain needs "
                               "report.include_plain_student = true")
+        teachers = self.teacher_runs()
+        reported = [f"teacher/{name}" for name, _, _ in teachers]
+        if len(teachers) >= 2:
+            reported.append(TEACHERS_AVG)
+        reported.append(KD_STUDENT)
+        if self["report.include_plain_student"]:
+            reported.append(PLAIN_STUDENT)
+        if baseline not in reported:
+            raise ConfigError(f"report.baseline = {baseline} is not a model this run "
+                              f"reports; choose one of {', '.join(reported)}")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -255,6 +277,20 @@ class ExperimentConfig:
             dropout=self[f"{side}.dropout"],
             cross_layers=self[f"{side}.cross_layers"],
             cin_maps=self[f"{side}.cin_maps"])
+
+    def teacher_runs(self) -> list[tuple[str, str, int]]:
+        """(name, preset, seed) of each teacher the teacher stage trains: mode
+        M names them ``<preset>``, or ``<preset>-s<seed>`` with several seeds;
+        mode D names partition i ``<teacher.model>-p<i>``."""
+        base_seed = self["train.teacher_seed"]
+        if self.get("ensemble.mode") == "D":
+            preset = self["teacher.model"]
+            return [(f"{preset}-p{i}", preset, base_seed + i)
+                    for i in range(self["ensemble.partitions"])]
+        seeds = self.get("ensemble.seeds") or (base_seed,)
+        return [(preset if len(seeds) == 1 else f"{preset}-s{seed}", preset, seed)
+                for preset in self.get("ensemble.teachers") or (self["teacher.model"],)
+                for seed in seeds]
 
     def distill_config(self) -> DistillConfig:
         try:

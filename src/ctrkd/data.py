@@ -61,14 +61,6 @@ class TableSchema:
     def n_columns(self) -> int:
         return max([self.label_column] + [f.position for f in self.fields]) + 1
 
-    @classmethod
-    def criteo(cls, n_numeric: int = 13, n_categorical: int = 26) -> "TableSchema":
-        # label, I1..I13, C1..C26, tab-separated
-        fields = [FieldSchema(f"I{i + 1}", NUMERIC, 1 + i) for i in range(n_numeric)]
-        fields += [FieldSchema(f"C{i + 1}", CATEGORICAL, 1 + n_numeric + i)
-                   for i in range(n_categorical)]
-        return cls(0, fields, delimiter="\t")
-
 
 def read_rows(path, delimiter: str = "\t") -> list[list[str]]:
     """Read a delimited text file (gzip by .gz suffix) into column lists."""
@@ -121,15 +113,13 @@ def _unescape(token: str) -> str:
 class FeatureVocabulary:
     """Per-field token -> index maps with index 0 reserved for UNK.
 
-    Tokens whose training frequency is below ``min_count`` are absent from
-    the map and therefore encode to UNK; so does anything unseen at build
-    time. Indices are dense and assigned in sorted token order.
+    Tokens whose training frequency is below ``build``'s ``min_count`` are
+    absent from the map and therefore encode to UNK; so does anything unseen
+    at build time. Indices are dense and assigned in sorted token order.
     """
 
-    def __init__(self, mapping: dict[str, dict[str, int]], min_count: int | None):
+    def __init__(self, mapping: dict[str, dict[str, int]]):
         self.mapping = mapping
-        self.min_count = min_count
-        self._inverse: dict[str, dict[int, str]] | None = None
 
     @classmethod
     def build(cls, rows: Sequence[Sequence[str]], schema: TableSchema,
@@ -148,7 +138,7 @@ class FeatureVocabulary:
         for f in cat_fields:
             kept = sorted(t for t, c in counters[f.name].items() if c >= min_count)
             mapping[f.name] = {tok: i + 1 for i, tok in enumerate(kept)}
-        return cls(mapping, min_count)
+        return cls(mapping)
 
     def size(self, field: str) -> int:
         return len(self.mapping[field]) + 1  # + UNK
@@ -158,14 +148,6 @@ class FeatureVocabulary:
 
     def index(self, field: str, token: str) -> int:
         return self.mapping[field].get(token, UNK_INDEX)
-
-    def token(self, field: str, index: int) -> str | None:
-        """Inverse lookup; None for UNK."""
-        if self._inverse is None:
-            self._inverse = {f: {i: t for t, i in m.items()} for f, m in self.mapping.items()}
-        if index == UNK_INDEX:
-            return None
-        return self._inverse[field][index]
 
     def _serialize(self) -> bytes:
         lines = []
@@ -188,7 +170,7 @@ class FeatureVocabulary:
         for field, m in mapping.items():
             if sorted(m.values()) != list(range(1, len(m) + 1)):
                 raise ValueError(f"vocabulary file has non-dense indices for field {field}")
-        return cls(mapping, min_count=None)
+        return cls(mapping)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self._serialize()).hexdigest()
@@ -338,18 +320,15 @@ def _split_sequential(rows, strategy: SequentialSplit):
     return train, tail[:half], tail[half:]
 
 
-def batches(dataset: EncodedDataset, batch_size: int, shuffle: bool = False,
-            seed=0):
-    """Stream the dataset once as Batch objects; order fixed by the seed."""
+def batches(dataset: EncodedDataset, batch_size: int, seed):
+    """Stream the dataset once as Batch objects, in an order shuffled by
+    ``seed`` (anything ``np.random.default_rng`` takes)."""
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot batch an empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(n)
-    else:
-        order = np.arange(n)
+    order = np.random.default_rng(seed).permutation(n)
     labels = dataset.labels
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]

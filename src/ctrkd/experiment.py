@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import persist
-from .config import ExperimentConfig, format_kv, parse_config_text, parse_kv
+from .config import (KD_STUDENT, PLAIN_STUDENT, TEACHERS_AVG, ExperimentConfig,
+                     format_kv, parse_config_text, parse_kv)
 from .data import EncodedDataset, FeatureVocabulary, encode_rows, read_rows, split_rows
 from .metrics import auc, logloss
 from .models import FieldDims, Model
@@ -30,10 +31,6 @@ from .train import (KD_LOSS_MIN, VAL_AUC_MAX, predict_dataset,
                     train_teacher)
 
 WORKERS_ENV = "CTRKD_WORKERS"
-
-PLAIN_STUDENT = "student_plain"
-KD_STUDENT = "student_kd"
-TEACHERS_AVG = "teachers_avg"
 
 
 class StageError(RuntimeError):
@@ -147,39 +144,27 @@ def make_ensemble(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
     (same test set)."""
     directory = _teacher_dir(cfg.output_dir)
     os.makedirs(directory, exist_ok=True)
-    base_seed = cfg["train.teacher_seed"]
+    teachers = cfg.teacher_runs()
+    partitioned = cfg.get("ensemble.mode") == "D"
+    if partitioned and len(teachers) < 2:
+        raise ValueError("ensemble.mode = D needs ensemble.partitions >= 2")
+    pool = EncodedDataset.concatenate([art.train, art.val]) if partitioned else None
     entries = []
-    if cfg.get("ensemble.mode") != "D":
-        presets = cfg.get("ensemble.teachers") or (cfg["teacher.model"],)
-        seeds = cfg.get("ensemble.seeds") or (base_seed,)
-        for preset in presets:
-            spec = cfg.model_spec("teacher", preset)
-            for seed in seeds:
-                name = preset if len(seeds) == 1 else f"{preset}-s{seed}"
-                entries.append(_train_and_save(cfg, art, directory, name,
-                                               f"teacher/{name}", spec, seed,
-                                               art.train, art.val))
-    else:
-        partitions = cfg["ensemble.partitions"]
-        if partitions < 2:
-            raise ValueError("ensemble.mode = D needs ensemble.partitions >= 2")
-        spec = cfg.model_spec("teacher")
-        preset = cfg["teacher.model"]
-        pool = EncodedDataset.concatenate([art.train, art.val])
-        train_frac = len(art.train) / len(pool)
-        for i in range(partitions):
-            # fresh random split of the train+val pool; the test set is untouched
+    for i, (name, preset, seed) in enumerate(teachers):
+        train_ds, val_ds = art.train, art.val
+        if partitioned:
+            # fresh random split of the train+val pool at the original sizes;
+            # the test set is untouched
             part_seed = cfg["ensemble.partition_seed"] + i
             perm = np.random.default_rng(part_seed).permutation(len(pool))
-            cut = int(round(len(pool) * train_frac))
+            cut = len(art.train)
             train_idx, val_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
-            name = f"{preset}-p{i}"
             np.savez(os.path.join(directory, f"{name}.partition.npz"),
                      train=train_idx, val=val_idx)
-            entries.append(_train_and_save(cfg, art, directory, name,
-                                           f"teacher/{name}", spec, base_seed + i,
-                                           pool.subset(train_idx),
-                                           pool.subset(val_idx)))
+            train_ds, val_ds = pool.subset(train_idx), pool.subset(val_idx)
+        entries.append(_train_and_save(cfg, art, directory, name, f"teacher/{name}",
+                                       cfg.model_spec("teacher", preset), seed,
+                                       train_ds, val_ds))
     return entries
 
 
@@ -314,11 +299,9 @@ def _read_runs_csv(outdir: str) -> list[ReportRow]:
             for r in _read_meta(os.path.join(outdir, "runs.csv"))]
 
 
-def stage_report(cfg: ExperimentConfig, rows: list[ReportRow] | None = None) -> ExperimentReport:
+def stage_report(cfg: ExperimentConfig) -> ExperimentReport:
     outdir = cfg.output_dir
-    if rows is None:
-        rows = _read_runs_csv(outdir)
-    report = ExperimentReport(rows, baseline=cfg["report.baseline"])
+    report = ExperimentReport(_read_runs_csv(outdir), baseline=cfg["report.baseline"])
     with open(os.path.join(outdir, "report.csv"), "w", encoding="utf-8") as f:
         f.write(report.summary_csv())
     with open(os.path.join(outdir, "report.txt"), "w", encoding="utf-8") as f:
@@ -335,8 +318,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         _run_stage("preprocess", stage_preprocess, cfg)
         _run_stage("teachers", stage_teachers_from_disk, cfg)
         _run_stage("distill", stage_distill, cfg)
-        rows = _run_stage("evaluate", stage_evaluate, cfg)
-        report = _run_stage("report", stage_report, cfg, rows)
+        _run_stage("evaluate", stage_evaluate, cfg)
+        report = _run_stage("report", stage_report, cfg)
     except StageError as err:
         _write_status(outdir, f"failed: {err.stage}")
         raise

@@ -24,7 +24,6 @@ from .tensor import Tensor
 EMBED_INIT_STD = 0.05
 
 WIDE_KINDS = ("none", "lr", "fm", "cross", "cin")
-ACTIVATIONS = ("relu", "sigmoid")
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -41,7 +40,6 @@ class ModelSpec:
     cross_layers: int = 3
     cin_maps: tuple[int, ...] = (4,)
     dropout: float = 0.0
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "deep", tuple(int(h) for h in self.deep))
@@ -60,8 +58,6 @@ class ModelSpec:
             raise ValueError("cin_maps must be a non-empty list of positive sizes")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def needs_embeddings(self) -> bool:
@@ -109,17 +105,19 @@ class ModelSpec:
             "cross_layers": str(self.cross_layers),
             "cin_maps": ",".join(str(h) for h in self.cin_maps),
             "dropout": repr(self.dropout),
-            "activation": self.activation,
+            # the hidden activation is always ReLU; the key keeps the layout
+            "activation": "relu",
         }
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "ModelSpec":
+        if kv.get("activation", "relu") != "relu":
+            raise ValueError(f"unsupported activation {kv['activation']!r}")
         return cls(wide=kv["wide"], deep=_ints(kv["deep"]),
                    embedding_dim=int(kv["embedding_dim"]),
                    cross_layers=int(kv["cross_layers"]),
-                   cin_maps=_ints(kv["cin_maps"]) or (4,),
-                   dropout=float(kv["dropout"]),
-                   activation=kv.get("activation", "relu"))
+                   cin_maps=_ints(kv["cin_maps"]),
+                   dropout=float(kv["dropout"]))
 
 
 PRESETS = ("lr", "fm", "dnn", "wide_deep", "deepfm", "dcn", "xdeepfm")
@@ -261,10 +259,6 @@ class Model:
         """The feature-embedding parameters, the only L2-regularized ones."""
         return list(self.embeddings) + list(self.numeric_proj)
 
-    def zero_grad(self) -> None:
-        for p in self._params:
-            p.zero_grad()
-
     @property
     def hint_dim(self) -> int:
         """Width of the representation used as the hint vector."""
@@ -357,55 +351,32 @@ class Model:
         if self.dims.n_numeric:
             parts.append(Tensor(num))
         x = T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-        act = T.relu if self.spec.activation == "relu" else T.sigmoid
         for w, b in self.mlp:
-            x = act(T.add(T.matmul(x, w), T.expand(b, (x.shape[0], b.shape[1]))))
+            x = T.relu(T.add(T.matmul(x, w), T.expand(b, (x.shape[0], b.shape[1]))))
             if self.spec.dropout > 0.0:
                 x = T.dropout(x, self.spec.dropout, training, rng)
         logit = T.add(T.matmul(x, self.mlp_head_w), self.mlp_head_b)
         return logit, x
-
-    def wide_logit(self, cat, num) -> tuple[Tensor, Tensor] | tuple[None, None]:
-        """Wide-part logit and its pre-head vector, or (None, None)."""
-        cat, num, embeds = self._inputs(cat, num)
-        return self._wide_from_inputs(cat, num, embeds)
-
-    def _wide_from_inputs(self, cat, num, embeds):
-        if self.spec.wide == "none":
-            return None, None
-        if self.spec.wide == "lr":
-            logit = self._linear_logit(cat, num)
-            return logit, logit
-        if self.spec.wide == "fm":
-            return self._fm(cat, num, embeds)
-        if self.spec.wide == "cross":
-            return self._cross(num, embeds)
-        return self._cin(num, embeds)
-
-    def deep_logit(self, cat, num, training: bool = False,
-                   rng: np.random.Generator | None = None):
-        """Deep-part logit and final hidden activation, or (None, None)."""
-        if not self.spec.deep:
-            return None, None
-        cat, num, embeds = self._inputs(cat, num)
-        return self._deep(num, embeds, training, rng)
 
     def forward(self, cat, num, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """Logit = wide + deep; hint = last hidden activation when a deep
         part exists, else the wide part's pre-head vector."""
         cat, num, embeds = self._inputs(cat, num)
-        wide, wide_vec = self._wide_from_inputs(cat, num, embeds)
-        deep, hidden = (self._deep(num, embeds, training, rng)
-                        if self.spec.deep else (None, None))
-        if wide is None:
-            logit = deep
-        elif deep is None:
-            logit = wide
-        else:
-            logit = T.add(wide, deep)
-        hint = hidden if hidden is not None else wide_vec
-        return logit, hint
+        parts = []  # (logit, vector) of the wide part, then of the deep part
+        if self.spec.wide == "lr":
+            linear = self._linear_logit(cat, num)
+            parts.append((linear, linear))
+        elif self.spec.wide == "fm":
+            parts.append(self._fm(cat, num, embeds))
+        elif self.spec.wide == "cross":
+            parts.append(self._cross(num, embeds))
+        elif self.spec.wide == "cin":
+            parts.append(self._cin(num, embeds))
+        if self.spec.deep:
+            parts.append(self._deep(num, embeds, training, rng))
+        logit = parts[0][0] if len(parts) == 1 else T.add(parts[0][0], parts[1][0])
+        return logit, parts[-1][1]
 
     def logit_values(self, cat, num) -> np.ndarray:
         """Inference-mode logits as a raw (B, 1) array, outside any graph."""

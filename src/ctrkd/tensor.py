@@ -80,9 +80,6 @@ class Tensor:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.values.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate d(self)/d(t) into ``t.grad`` for every leaf t it reaches."""
         if self.size != 1:
@@ -105,41 +102,6 @@ class Tensor:
                 for parent, pg in t._grad_fn(g):
                     acc = adjoints.get(id(parent))
                     adjoints[id(parent)] = pg if acc is None else acc + pg
-
-    # -- operators -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -256,18 +218,15 @@ def div(a, b) -> Tensor:
                     (b, lambda g: _fit(-g * values / b.values, b.values)))
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _from_op(-a.values, "neg", (a, lambda g: -g))
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     return _from_op(np.maximum(a.values, 0.0), "relu", (a, lambda g: g * (a.values > 0)))
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+def sigmoid_values(x) -> np.ndarray:
+    """Graph-free stable sigmoid on raw arrays."""
     # Branch on sign so exp never overflows; sigmoid(0) is exactly 0.5.
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -278,13 +237,8 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    values = _sigmoid_values(a.values)
+    values = sigmoid_values(a.values)
     return _from_op(values, "sigmoid", (a, lambda g: g * values * (1.0 - values)))
-
-
-def sigmoid_values(x) -> np.ndarray:
-    """Graph-free stable sigmoid on raw arrays."""
-    return _sigmoid_values(np.asarray(x, dtype=np.float64))
 
 
 def square(a) -> Tensor:
@@ -313,7 +267,7 @@ def bce_with_logits(z, target) -> Tensor:
     n = z.size
     softplus = np.maximum(z.values, 0.0) + np.log1p(np.exp(-np.abs(z.values)))
     return _from_op(np.sum(softplus - target.values * z.values) / n, "bce_with_logits",
-                    (z, lambda g: g * (_sigmoid_values(z.values) - target.values) / n),
+                    (z, lambda g: g * (sigmoid_values(z.values) - target.values) / n),
                     (target, lambda g: g * -z.values / n))
 
 
@@ -369,21 +323,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
     return _from_op(values, "concat", *((t, piece(stop - t.shape[axis], stop))
                                         for t, stop in zip(tensors, stops)))
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError(f"slice_cols expects a 2-d tensor, got shape {a.shape}")
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ValueError(f"slice_cols: [{start}:{stop}] out of range for {a.shape}")
-
-    def adjoint(g):
-        full = np.zeros_like(a.values)
-        full[:, start:stop] = g
-        return full
-
-    return _from_op(a.values[:, start:stop], "slice_cols", (a, adjoint))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -35,6 +35,11 @@ _PROJECTOR_TAG = 0x70
 TEACHER_ROLE = 0
 STUDENT_ROLE = 1
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam
+
+# rows per inference batch when scoring a whole split
+PREDICT_BATCH = 8192
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -63,15 +68,12 @@ class TrainHyper:
 
 
 class Adam:
-    """Adam with bias correction; lr=1e-3, betas=(0.9, 0.999), eps=1e-8."""
+    """Adam with bias correction, moment decays ``BETA1``, ``BETA2`` and
+    denominator guard ``EPS``."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
@@ -82,15 +84,15 @@ class Adam:
             if p.grad is None:
                 raise ValueError(f"parameter {p.name or p} has no gradient")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
             p.grad = None
 
 
@@ -178,21 +180,19 @@ class EarlyStopMonitor:
             np.copyto(p.values, saved)
 
 
-def predict_dataset(model: Model, dataset: EncodedDataset,
-                    batch_size: int = 8192) -> np.ndarray:
+def predict_dataset(model: Model, dataset: EncodedDataset) -> np.ndarray:
     """Inference-mode probabilities for a whole split; labels untouched."""
     out = []
     n = len(dataset)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+    for start in range(0, n, PREDICT_BATCH):
+        stop = min(start + PREDICT_BATCH, n)
         out.append(model.predict_proba(dataset.cat[start:stop], dataset.num[start:stop]))
     return np.concatenate(out)
 
 
-def evaluate_model(model: Model, dataset: EncodedDataset,
-                   batch_size: int = 8192) -> tuple[float, float]:
+def evaluate_model(model: Model, dataset: EncodedDataset) -> tuple[float, float]:
     """(AUC, logloss) on a labeled split."""
-    scores = predict_dataset(model, dataset, batch_size)
+    scores = predict_dataset(model, dataset)
     labels = dataset.labels
     return auc(scores, labels), logloss(scores, labels)
 
@@ -235,7 +235,7 @@ def _fit(objectives: list[_Objective], train_data: EncodedDataset, hyper: TrainH
         loss_sums = [0.0] * len(objectives)
         n_batches = 0
         for step, batch in enumerate(batches(train_data, hyper.batch_size,
-                                             shuffle=True, seed=_batch_seed(seed, epoch))):
+                                             _batch_seed(seed, epoch))):
             for k, obj in enumerate(objectives):
                 loss = obj.loss(batch, obj.rng)
                 value = loss.item()

@@ -38,7 +38,7 @@ def check_grads(loss_fn, params, tol=1e-4, h=H):
     return the scalar loss tensor. Returns the worst relative error seen.
     """
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = loss_fn()
     loss.backward()
     worst = 0.0

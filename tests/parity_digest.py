@@ -9,7 +9,7 @@ hashes the bytes of every parameter it trained (model, gate, projectors)
 together with the ``repr`` of its per-epoch records: epoch, loss, monitored
 value and the stop flag. Epoch seconds are wall time and are left out.
 
-Each of the 7 pipeline runs is ``ctrkd run`` on a small synthetic file and
+Each of the 8 pipeline runs is ``ctrkd run`` on a small synthetic file and
 hashes every file under its ``output.dir``, in path order. In CSV files the
 ``seconds`` column is blanked and ``ckpt`` is made relative to ``output.dir``;
 every other file is hashed as it is.
@@ -151,6 +151,8 @@ PIPELINES = [
     ("hint-val_auc", HINT_KEYS + "distill.stop = val_auc\n"),
     ("hint-kd_loss-no-merge", HINT_KEYS + "distill.merge_val = false\n"),
     ("cotrain", "distill.scheme = cotrain\n"),
+    # report.csv's deltas against a teacher, read back from runs.csv
+    ("baseline-teacher", "report.baseline = teacher/deepfm\n"),
 ]
 
 

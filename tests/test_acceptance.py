@@ -15,8 +15,9 @@ import pytest
 from ctrkd import distill as KD
 from ctrkd import persist
 from ctrkd import tensor as T
-from ctrkd.data import (EncodedDataset, FeatureVocabulary, RandomRatioSplit,
-                        TableSchema, encode_rows, split_rows)
+from ctrkd.config import parse_config_text
+from ctrkd.data import (EncodedDataset, FeatureVocabulary, RandomRatioSplit, encode_rows,
+                        split_rows)
 from ctrkd.distill import DistillConfig, HintProjector, TeacherGate
 from ctrkd.metrics import auc
 from ctrkd.models import FieldDims, Model, ModelSpec
@@ -104,7 +105,8 @@ def test_gradient_correctness_across_the_zoo():
             logit, _ = model.forward(cat, num)
             return KD.bce_loss(labels, logit)
 
-        model.zero_grad()
+        for p in model.parameters():
+            p.grad = None
         loss_tensor().backward()
         worst = 0.0
         for p in model.parameters():
@@ -353,7 +355,7 @@ def test_pipeline_fidelity_against_scripted_oracle(tmp_path):
     fixture = tmp_path / "criteo_fixture.txt"
     spec = SyntheticSpec(n_cat=26, vocab=60, n_num=13, latent_dim=2)
     write_synthetic_file(fixture, 10_000, seed=42, spec=spec)
-    schema = TableSchema.criteo()
+    schema = parse_config_text("data.format = criteo\n").table_schema()
     from ctrkd.data import read_rows
     rows = read_rows(fixture, "\t")
     assert len(rows) == 10_000

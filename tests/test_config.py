@@ -156,3 +156,34 @@ def test_plain_student_baseline_needs_the_plain_student():
         parse_config_text(no_plain)
     cfg = parse_config_text(no_plain + "report.baseline = student_kd\n")
     assert cfg["report.baseline"] == "student_kd"
+
+
+def test_model_shapes_checked_at_parse_time():
+    for bad in ("student.dropout = 1.5", "teacher.hidden = 0", "student.embedding_dim = 0",
+                "ensemble.mode = M\nensemble.teachers = fm,tabnet"):
+        with pytest.raises(ConfigError, match="bad (teacher|student) model"):
+            parse_config_text(MINIMAL + f"\n{bad}\n")
+    # an ensemble preset takes the teacher's shape keys
+    with pytest.raises(ConfigError, match="bad teacher model"):
+        parse_config_text(MINIMAL + "\nteacher.model = lr\nteacher.cin_maps = 0\n"
+                          "ensemble.mode = M\nensemble.teachers = xdeepfm\n")
+
+
+def test_baseline_must_be_a_reported_model():
+    ok = [("teacher.model = fm", "teacher/fm"),
+          ("ensemble.mode = M\nensemble.teachers = fm,lr", "teacher/lr"),
+          ("ensemble.mode = M\nensemble.teachers = fm,lr", "teachers_avg"),
+          ("ensemble.mode = M\nensemble.teachers = fm\nensemble.seeds = 5,6", "teacher/fm-s6"),
+          ("ensemble.mode = D\nensemble.partitions = 3", "teacher/deepfm-p2"),
+          ("", "student_kd"), ("", "student_plain")]
+    for extra, baseline in ok:
+        cfg = parse_config_text(MINIMAL + f"\n{extra}\nreport.baseline = {baseline}\n")
+        assert cfg["report.baseline"] == baseline
+    bad = [("teacher.model = fm", "teacher/dcn"),
+           ("", "student_kdd"),
+           ("teacher.model = fm", "teachers_avg"),  # one teacher, no average
+           ("ensemble.mode = M\nensemble.teachers = fm\nensemble.seeds = 5,6", "teacher/fm"),
+           ("ensemble.mode = D\nensemble.partitions = 3", "teacher/deepfm-p3")]
+    for extra, baseline in bad:
+        with pytest.raises(ConfigError, match="not a model this run reports"):
+            parse_config_text(MINIMAL + f"\n{extra}\nreport.baseline = {baseline}\n")

@@ -95,9 +95,11 @@ def test_vocab_roundtrip_through_file(tmp_path):
 def test_encode_decode_roundtrip_token_or_unk():
     rows = make_rows(["a", "b", "a", "c", "a", "b"])
     vocab = D.FeatureVocabulary.build(rows, toy_schema(), min_count=2)
+    inverse = {i: t for t, i in vocab.mapping["a"].items()}
+    assert D.UNK_INDEX not in inverse
     for tok in ["a", "b", "c", "unseen"]:
         idx = vocab.index("a", tok)
-        back = vocab.token("a", idx)
+        back = inverse.get(idx)
         if idx == D.UNK_INDEX:
             assert back is None
         else:
@@ -201,32 +203,32 @@ def _dataset(n):
 
 def test_batches_sizes_and_order():
     ds = _dataset(5)
-    sizes = [len(b) for b in D.batches(ds, 2)]
+    sizes = [len(b) for b in D.batches(ds, 2, 0)]
     assert sizes == [2, 2, 1]
-    flat = np.concatenate([b.cat[:, 0] for b in D.batches(ds, 2, shuffle=False)])
-    np.testing.assert_array_equal(flat, ds.cat[:, 0])
+    flat = np.concatenate([b.cat[:, 0] for b in D.batches(ds, 2, 0)])
+    np.testing.assert_array_equal(flat, ds.cat[np.random.default_rng(0).permutation(5), 0])
 
 
 def test_batches_shuffle_determinism():
     ds = _dataset(64)
     def order(seed):
-        return np.concatenate([b.labels[:, 0] for b in D.batches(ds, 7, shuffle=True, seed=seed)])
+        return np.concatenate([b.labels[:, 0] for b in D.batches(ds, 7, seed)])
     np.testing.assert_array_equal(order(3), order(3))
     assert not np.array_equal(order(3), order(4))
 
 
 def test_batches_cover_every_sample_once():
     ds = _dataset(23)
-    seen = np.concatenate([b.num[:, 0] * 0 + b.cat[:, 0] for b in D.batches(ds, 4, shuffle=True, seed=1)])
+    seen = np.concatenate([b.num[:, 0] * 0 + b.cat[:, 0] for b in D.batches(ds, 4, 1)])
     assert len(seen) == 23
 
 
 def test_batches_reject_empty_and_bad_size():
     ds = _dataset(4)
     with pytest.raises(ValueError):
-        list(D.batches(ds.subset([]), 2))
+        list(D.batches(ds.subset([]), 2, 0))
     with pytest.raises(ValueError):
-        list(D.batches(ds, 0))
+        list(D.batches(ds, 0, 0))
 
 
 def test_label_read_counter():
@@ -234,7 +236,7 @@ def test_label_read_counter():
     assert ds.label_reads == 0
     _ = ds.labels
     assert ds.label_reads == 1
-    list(D.batches(ds, 4))
+    list(D.batches(ds, 4, 0))
     assert ds.label_reads == 2
 
 

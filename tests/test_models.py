@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ctrkd import tensor as T
 from ctrkd.models import PRESETS, FieldDims, Model, ModelSpec, spec_from_preset
 from ctrkd.tensor import sigmoid_values
 
@@ -85,7 +88,7 @@ def test_fm_zero_embeddings_is_linear_only():
     for t in model.linear_cat:
         t.values[:] = rng.normal(size=t.values.shape)
     cat, num = toy_batch()
-    wide, _ = model.wide_logit(cat, num)
+    wide, _ = model.forward(cat, num)
     linear = model._linear_logit(cat, num)
     np.testing.assert_array_equal(wide.values, linear.values)
 
@@ -94,7 +97,7 @@ def test_fm_single_field_has_no_pairs():
     dims = FieldDims((5,), 0)
     model = Model(ModelSpec.fm(4), dims, seed=2)
     cat = np.array([[1], [3]])
-    _, pair = model.wide_logit(cat, np.zeros((2, 0)))
+    _, pair = model.forward(cat, np.zeros((2, 0)))
     np.testing.assert_array_equal(pair.values, np.zeros((2, 4)))
 
 
@@ -112,7 +115,7 @@ def test_fm_matches_bruteforce_pairs():
         for j in range(i + 1, m):
             brute[:, 0] += np.sum(vs[i] * vs[j], axis=1)
     linear = model._linear_logit(cat, num).values
-    logit, _ = model.wide_logit(cat, num)
+    logit, _ = model.forward(cat, num)
     np.testing.assert_allclose(logit.values, linear + brute, atol=1e-10)
 
 
@@ -123,7 +126,7 @@ def test_crossnet_zero_weights_is_identity():
         for w in model.cross_w:
             w.values[:] = 0.0
         cat, num = toy_batch()
-        _, vec = model.wide_logit(cat, num)
+        _, vec = model.forward(cat, num)
         embeds = [t.values[cat[:, i]] for i, t in enumerate(model.embeddings)]
         x0 = np.concatenate(embeds + [num], axis=1)
         np.testing.assert_array_equal(vec.values, x0)
@@ -136,7 +139,7 @@ def test_crossnet_hand_example():
     model.embeddings[0].values[1] = [1.0, 1.0]
     model.cross_w[0].values[:, 0] = [1.0, 0.0]
     model.cross_b[0].values[:] = 0.0
-    _, vec = model.wide_logit(np.array([[1]]), np.zeros((1, 0)))
+    _, vec = model.forward(np.array([[1]]), np.zeros((1, 0)))
     np.testing.assert_array_equal(vec.values, [[2.0, 2.0]])
 
 
@@ -155,7 +158,7 @@ def test_crossnet_matches_unrolled_oracle():
             s = float(x @ w.values[:, 0])
             x = x0[b] * s + bias.values[0] + x
         expected[b, 0] = x @ model.cross_head_w.values[:, 0] + model.cross_head_b.values[0, 0]
-    logit, _ = model.wide_logit(cat, num)
+    logit, _ = model.forward(cat, num)
     np.testing.assert_allclose(logit.values, expected, atol=1e-10)
 
 
@@ -165,7 +168,7 @@ def test_cin_zero_weights_gives_head_bias():
         w.values[:] = 0.0
     model.cin_head_b.values[:] = 0.7
     cat, num = toy_batch()
-    logit, _ = model.wide_logit(cat, num)
+    logit, _ = model.forward(cat, num)
     np.testing.assert_allclose(logit.values, np.full((3, 1), 0.7), atol=0)
 
 
@@ -178,7 +181,7 @@ def test_cin_all_ones_single_map_pools_all_products():
     expected = sum(np.sum(x0[i] * x0[j]) for i in range(2) for j in range(2))
     model.cin_head_w.values[:] = 1.0
     model.cin_head_b.values[:] = 0.0
-    logit, _ = model.wide_logit(cat, np.zeros((1, 0)))
+    logit, _ = model.forward(cat, np.zeros((1, 0)))
     assert logit.values[0, 0] == pytest.approx(expected, abs=1e-10)
 
 
@@ -204,7 +207,7 @@ def test_cin_matches_naive_triple_loop():
         prev = maps
     vec = np.concatenate(pooled_all, axis=1)
     expected = vec @ model.cin_head_w.values + model.cin_head_b.values
-    logit, got_vec = model.wide_logit(cat, num)
+    logit, got_vec = model.forward(cat, num)
     np.testing.assert_allclose(got_vec.values, vec, atol=1e-8)
     np.testing.assert_allclose(logit.values, expected, atol=1e-8)
 
@@ -239,9 +242,18 @@ def test_mlp_gradients_match_finite_differences():
 
     def loss():
         logit, _ = model.forward(cat, num)
-        return logit.sum()
+        return T.reduce_sum(logit)
 
     check_grads(loss, model.parameters(), tol=1e-4)
+
+
+def part_of(model, **change):
+    """A model with ``change`` applied to the spec, holding the model's
+    parameters of the same names."""
+    part = Model(replace(model.spec, **change), DIMS, seed=0)
+    state = model.state()
+    part.load_state({name: state[name] for name in part.state()})
+    return part
 
 
 def test_model_logit_additivity():
@@ -254,17 +266,18 @@ def test_model_logit_additivity():
             p.values[:] = rng.normal(scale=0.3, size=p.values.shape)
         cat, num = toy_batch(batch=4, seed=2)
         full, _ = model.forward(cat, num)
-        wide, _ = model.wide_logit(cat, num)
-        deep, _ = model.deep_logit(cat, num)
+        wide, _ = part_of(model, deep=()).forward(cat, num)
+        deep, _ = part_of(model, wide="none").forward(cat, num)
         np.testing.assert_array_equal(full.values, wide.values + deep.values)
 
 
 def test_fm_only_equals_fm_logit():
     model = Model(ModelSpec.fm(3), DIMS, seed=8)
     cat, num = toy_batch()
-    full, _ = model.forward(cat, num)
-    wide, _ = model.wide_logit(cat, num)
-    np.testing.assert_array_equal(full.values, wide.values)
+    full, pair = model.forward(cat, num)
+    linear = model._linear_logit(cat, num)
+    np.testing.assert_array_equal(full.values,
+                                  linear.values + pair.values.sum(axis=1, keepdims=True))
 
 
 def test_hint_selection():

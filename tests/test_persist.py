@@ -30,7 +30,11 @@ def random_batch(n=100, seed=0):
     return cat, num
 
 
-@pytest.mark.parametrize("spec", ZOO, ids=lambda s: s.wide + ("+mlp" if s.deep else ""))
+# an FM never reads cin_maps, so an empty one is valid and must reload as empty
+@pytest.mark.parametrize("spec", [*ZOO, pytest.param(ModelSpec(wide="fm", embedding_dim=3,
+                                                               cin_maps=()),
+                                                     id="fm-empty-cin_maps")],
+                         ids=lambda s: s.wide + ("+mlp" if s.deep else ""))
 def test_roundtrip_bitwise_predictions(tmp_path, spec):
     model = Model(spec, DIMS, seed=11)
     path = tmp_path / "model.ckpt"
@@ -147,7 +151,8 @@ def test_text_section_value_errors_raise_corrupt_checkpoint(tmp_path):
     for old, new in ((b"seed = 7", b"seed = x"),          # bad number
                      (b"epoch = 1", b"epoch 1"),          # malformed line
                      (b"seed = 7", b"sead = 7"),          # missing key
-                     (b"wide = fm", b"wide = zz")):       # invalid spec
+                     (b"wide = fm", b"wide = zz"),        # invalid spec
+                     (b"activation = relu", b"activation = tanh")):  # not ReLU
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(blob.replace(old, new))
         with pytest.raises(persist.CorruptCheckpointError):
