@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .data import (CATEGORICAL, NUMERIC, FieldSchema, RandomRatioSplit,
                    SequentialSplit, TableSchema)
-from .distill import HINT, PRETRAIN, DistillConfig
+from .distill import COTRAIN, HINT, PRETRAIN, SOFT_LABEL, DistillConfig
 from .models import PRESETS, ModelSpec, _ints, spec_from_preset
 from .train import TrainHyper
 
@@ -118,11 +118,11 @@ KEYS: dict[str, tuple] = {
     "data.day_column": (int, None),
     "data.train_days": (int, None),
     # distillation
-    "distill.method": (str, "soft_label"),
+    "distill.method": (_choice(SOFT_LABEL, HINT), SOFT_LABEL),
     "distill.tau": (float, "1.0"),
     "distill.beta": (float, "0.5"),
     "distill.gamma": (float, "0.5"),
-    "distill.scheme": (str, "pretrain"),
+    "distill.scheme": (_choice(PRETRAIN, COTRAIN), PRETRAIN),
     "distill.gating": (_bool, "false"),
     "distill.stop": (_choice("kd_loss", "val_auc"), "kd_loss"),
     "distill.merge_val": (_bool, "true"),
@@ -192,7 +192,6 @@ class ExperimentConfig:
         if recipe:
             merged.update(recipe)
         merged.update(raw)
-        self.raw = raw
         self.base_dir = base_dir
         self.values: dict[str, object] = {}
         for key, text in merged.items():
@@ -222,8 +221,15 @@ class ExperimentConfig:
         if baseline == PLAIN_STUDENT and not self["report.include_plain_student"]:
             raise ConfigError("report.baseline = student_plain needs "
                               "report.include_plain_student = true")
+        if self.get("ensemble.mode") == "D" and self["ensemble.partitions"] < 2:
+            raise ConfigError("ensemble.mode = D needs ensemble.partitions >= 2")
         teachers = self.teacher_runs()
-        reported = [f"teacher/{name}" for name, _, _ in teachers]
+        names = [name for name, _, _ in teachers]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"teacher name {', '.join(repeated)} is listed more than "
+                              "once; list each ensemble preset and seed once")
+        reported = [f"teacher/{name}" for name in names]
         if len(teachers) >= 2:
             reported.append(TEACHERS_AVG)
         reported.append(KD_STUDENT)
@@ -321,20 +327,14 @@ class ExperimentConfig:
     def output_dir(self) -> str:
         return self.resolve_path("output.dir")
 
-    def serialize(self) -> str:
-        return format_kv(sorted(self.raw.items()))
-
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(parse_kv(text), base_dir)
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """The config file's keys with ``overrides`` laid over them, validated once."""
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    cfg = parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
-    if overrides:
-        raw = dict(cfg.raw)
-        raw.update(overrides)
-        cfg = ExperimentConfig(raw, cfg.base_dir)
-    return cfg
+        raw = parse_kv(f.read())
+    raw.update(overrides or {})
+    return ExperimentConfig(raw, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -5,32 +5,26 @@ CLI verbs can run the stages in separate processes; ``run`` chains them all.
 Any stage failure aborts with a stage-tagged error and flags the output
 directory as failed so partially written artifacts are never mistaken for a
 finished run.
-
-Per-seed student training jobs are independent; setting the CTRKD_WORKERS
-environment variable (the only env knob, never a science setting) fans them
-out over worker processes with bit-identical results.
 """
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import persist
 from .config import (KD_STUDENT, PLAIN_STUDENT, TEACHERS_AVG, ExperimentConfig,
-                     format_kv, parse_config_text, parse_kv)
+                     format_kv, parse_kv)
 from .data import EncodedDataset, FeatureVocabulary, encode_rows, read_rows, split_rows
+from .distill import COTRAIN, PRETRAIN
 from .metrics import auc, logloss
 from .models import FieldDims, Model
 from .report import ExperimentReport, ReportRow
 from .train import (KD_LOSS_MIN, VAL_AUC_MAX, predict_dataset,
                     train_student_cotrain, train_student_pretrain,
                     train_teacher)
-
-WORKERS_ENV = "CTRKD_WORKERS"
 
 
 class StageError(RuntimeError):
@@ -146,8 +140,6 @@ def make_ensemble(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
     os.makedirs(directory, exist_ok=True)
     teachers = cfg.teacher_runs()
     partitioned = cfg.get("ensemble.mode") == "D"
-    if partitioned and len(teachers) < 2:
-        raise ValueError("ensemble.mode = D needs ensemble.partitions >= 2")
     pool = EncodedDataset.concatenate([art.train, art.val]) if partitioned else None
     entries = []
     for i, (name, preset, seed) in enumerate(teachers):
@@ -184,78 +176,59 @@ def _student_meta_path(outdir: str) -> str:
     return os.path.join(outdir, "students_meta.csv")
 
 
-def _load_teachers(cfg: ExperimentConfig, art: DataArtifacts) -> list[Model]:
-    return [persist.load(row["ckpt"]).build_model(expected_fingerprint=art.fingerprint)
-            for row in _read_meta(_teacher_meta_path(cfg.output_dir))]
-
-
-def distill_preflight(cfg: ExperimentConfig) -> None:
-    """Fail before any training if teacher checkpoints are not in place, or
-    if co-training is asked of other than exactly one teacher."""
-    meta_path = _teacher_meta_path(cfg.output_dir)
+def stage_distill(cfg: ExperimentConfig) -> list[dict]:
+    """Train each seed's plain student (when reported) and KD student. The
+    splits, the teachers and the merged train+val set are loaded or built
+    once for every seed, and every check and teacher load comes before the
+    first student is trained, so a missing or damaged teacher leaves no
+    student file."""
+    outdir = cfg.output_dir
+    art = DataArtifacts.load(outdir)
+    meta_path = _teacher_meta_path(outdir)
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"no trained teachers found at {meta_path}; "
                                 "run the teacher stage first")
-    teachers = _read_meta(meta_path)
-    missing = [row["ckpt"] for row in teachers if not os.path.exists(row["ckpt"])]
+    ckpts = [row["ckpt"] for row in _read_meta(meta_path)]
+    missing = [ckpt for ckpt in ckpts if not os.path.exists(ckpt)]
     if missing:
         raise FileNotFoundError(f"missing teacher checkpoints: {missing}")
-    if cfg["distill.scheme"] == "cotrain" and len(teachers) != 1:
+    dcfg = cfg.distill_config()
+    if dcfg.scheme == COTRAIN and len(ckpts) != 1:
         raise ValueError("co-train supports exactly one teacher")
+    teachers = [persist.load(ckpt).build_model(expected_fingerprint=art.fingerprint)
+                for ckpt in ckpts]
 
-
-def _distill_seed_job(payload: tuple[str, str, int]) -> list[dict]:
-    """Train the per-seed student arms; runs in-process or in a worker."""
-    config_text, base_dir, seed = payload
-    cfg = parse_config_text(config_text, base_dir)
-    art = DataArtifacts.load(cfg.output_dir)
+    stop_mode, kd_train, kd_val = VAL_AUC_MAX, art.train, art.val
+    if cfg["distill.stop"] == "kd_loss":
+        stop_mode, kd_val = KD_LOSS_MIN, None
+        if dcfg.scheme == PRETRAIN and cfg["distill.merge_val"]:
+            kd_train = EncodedDataset.concatenate([art.train, art.val])
     hyper = cfg.train_hyper()
-    directory = _student_dir(cfg.output_dir)
+    student_spec = cfg.model_spec("student")
+    directory = _student_dir(outdir)
     os.makedirs(directory, exist_ok=True)
     rows = []
-
-    if cfg["report.include_plain_student"]:
-        rows.append(_train_and_save(cfg, art, directory, f"{PLAIN_STUDENT}-s{seed}",
-                                    PLAIN_STUDENT, cfg.model_spec("student"), seed,
-                                    art.train, art.val))
-
-    dcfg = cfg.distill_config()
-    teachers = _load_teachers(cfg, art)
-    student = Model(cfg.model_spec("student"), art.dims, seed=seed)
-    extras = {}
-    if dcfg.scheme == "cotrain":
-        co_teacher = Model(teachers[0].spec, art.dims, seed=cfg["train.teacher_seed"])
-        _, record = train_student_cotrain(co_teacher, student, dcfg, art.train,
-                                          hyper, seed=seed)
-    else:
-        if cfg["distill.stop"] == "kd_loss":
-            stop_mode, val_ds = KD_LOSS_MIN, None
-            train_ds = (EncodedDataset.concatenate([art.train, art.val])
-                        if cfg["distill.merge_val"] else art.train)
+    for seed in cfg.seeds:
+        if cfg["report.include_plain_student"]:
+            rows.append(_train_and_save(cfg, art, directory, f"{PLAIN_STUDENT}-s{seed}",
+                                        PLAIN_STUDENT, student_spec, seed,
+                                        art.train, art.val))
+        student = Model(student_spec, art.dims, seed=seed)
+        extras = {}
+        if dcfg.scheme == COTRAIN:
+            co_teacher = Model(teachers[0].spec, art.dims, seed=cfg["train.teacher_seed"])
+            _, record = train_student_cotrain(co_teacher, student, dcfg, art.train,
+                                              hyper, seed=seed)
         else:
-            stop_mode, train_ds, val_ds = VAL_AUC_MAX, art.train, art.val
-        result = train_student_pretrain(student, teachers, dcfg, train_ds, hyper,
-                                        seed=seed, val_data=val_ds, stop_mode=stop_mode)
-        record = result.record
-        for part in [result.gate, *(result.projectors or [])]:
-            if part is not None:
-                extras.update({p.name: p.values for p in part.parameters()})
-    rows.append(_save_trained(directory, f"{KD_STUDENT}-s{seed}", KD_STUDENT, student,
-                              seed, record, art.fingerprint, extras))
-    return rows
-
-
-def stage_distill(cfg: ExperimentConfig) -> list[dict]:
-    distill_preflight(cfg)
-    payloads = [(cfg.serialize(), cfg.base_dir, seed) for seed in cfg.seeds]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_distill_seed_job, payloads))
-    else:
-        results = [_distill_seed_job(p) for p in payloads]
-    rows = [row for group in results for row in group]
-    _write_csv(_student_meta_path(cfg.output_dir), META_FIELDS, rows)
+            result = train_student_pretrain(student, teachers, dcfg, kd_train, hyper,
+                                            seed=seed, val_data=kd_val, stop_mode=stop_mode)
+            record = result.record
+            for part in [result.gate, *(result.projectors or [])]:
+                if part is not None:
+                    extras.update({p.name: p.values for p in part.parameters()})
+        rows.append(_save_trained(directory, f"{KD_STUDENT}-s{seed}", KD_STUDENT, student,
+                                  seed, record, art.fingerprint, extras))
+    _write_csv(_student_meta_path(outdir), META_FIELDS, rows)
     return rows
 
 

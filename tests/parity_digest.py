@@ -9,7 +9,7 @@ hashes the bytes of every parameter it trained (model, gate, projectors)
 together with the ``repr`` of its per-epoch records: epoch, loss, monitored
 value and the stop flag. Epoch seconds are wall time and are left out.
 
-Each of the 8 pipeline runs is ``ctrkd run`` on a small synthetic file and
+Each of the 9 pipeline runs is ``ctrkd run`` on a small synthetic file and
 hashes every file under its ``output.dir``, in path order. In CSV files the
 ``seconds`` column is blanked and ``ckpt`` is made relative to ``output.dir``;
 every other file is hashed as it is.
@@ -153,6 +153,9 @@ PIPELINES = [
     ("cotrain", "distill.scheme = cotrain\n"),
     # report.csv's deltas against a teacher, read back from runs.csv
     ("baseline-teacher", "report.baseline = teacher/deepfm\n"),
+    # the seed loop without a plain student
+    ("no-plain-student", "report.include_plain_student = false\n"
+                         "report.baseline = student_kd\n"),
 ]
 
 

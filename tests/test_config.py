@@ -59,14 +59,6 @@ def test_distill_weights_validated_at_parse_time():
         parse_config_text(MINIMAL + "\ndistill.beta = 0.9\ndistill.gamma = 0.9\n")
 
 
-def test_roundtrip_is_fixed_point():
-    text = MINIMAL + "\ntrain.seeds = 1,2,3\ndistill.tau = 3.0\n"
-    cfg1 = parse_config_text(text)
-    cfg2 = parse_config_text(cfg1.serialize())
-    assert cfg1.values == cfg2.values
-    assert cfg1.serialize() == cfg2.serialize()
-
-
 def test_split_strategies():
     cfg = parse_config_text(MINIMAL)
     assert cfg.split_strategy() == RandomRatioSplit((0.8, 0.1, 0.1), 2020)
@@ -125,6 +117,16 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.resolve_path("data.path") == str(tmp_path / "data.txt")
 
 
+def test_overrides_are_validated_with_the_file_not_after_it(tmp_path):
+    # the file alone breaks beta + gamma = 1; the override mends the sum
+    path = tmp_path / "exp.cfg"
+    path.write_text(MINIMAL + "\ndistill.beta = 0.9\ndistill.gamma = 0.9\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    cfg = load_config(path, {"distill.gamma": "0.1"})
+    assert (cfg["distill.beta"], cfg["distill.gamma"]) == (0.9, 0.1)
+
+
 def test_invalid_choices_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "\ndata.format = parquet\n")
@@ -135,7 +137,8 @@ def test_invalid_choices_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "\ntrain.seeds = -3\n")
     for bad in ("data.delimiter = pipe", "data.split = daily", "distill.stop = never",
-                "report.ensemble_metric = median_average"):
+                "report.ensemble_metric = median_average", "distill.method = attention",
+                "distill.scheme = online"):
         with pytest.raises(ConfigError, match="expected one of"):
             parse_config_text(MINIMAL + f"\n{bad}\n")
 
@@ -187,3 +190,10 @@ def test_baseline_must_be_a_reported_model():
     for extra, baseline in bad:
         with pytest.raises(ConfigError, match="not a model this run reports"):
             parse_config_text(MINIMAL + f"\n{extra}\nreport.baseline = {baseline}\n")
+
+
+def test_repeated_teacher_names_rejected():
+    for extra, name in [("ensemble.teachers = fm,dcn,fm", "fm"),
+                        ("ensemble.teachers = fm\nensemble.seeds = 3,4,3", "fm-s3")]:
+        with pytest.raises(ConfigError, match=f"teacher name {name} is listed more than once"):
+            parse_config_text(MINIMAL + f"\nensemble.mode = M\n{extra}\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctrkd import cli, experiment, persist
-from ctrkd.config import parse_config_text
+from ctrkd.config import ConfigError, parse_config_text
 from ctrkd.synth import SyntheticSpec, write_synthetic_file
 
 TINY = SyntheticSpec(n_cat=4, vocab=12, n_num=2, latent_dim=2)
@@ -99,6 +99,20 @@ def test_distill_preflight_catches_missing_teachers(tmp_path):
     assert not os.path.exists(experiment._student_meta_path(cfg.output_dir))
 
 
+def test_truncated_teacher_fails_distill_before_any_student_is_written(tmp_path):
+    cfg = load_cfg(tiny_config(tmp_path))
+    experiment.stage_preprocess(cfg)
+    experiment.stage_teachers_from_disk(cfg)
+    ckpt = experiment._read_meta(experiment._teacher_meta_path(cfg.output_dir))[0]["ckpt"]
+    data = Path(ckpt).read_bytes()
+    Path(ckpt).write_bytes(data[:len(data) // 2])
+    with pytest.raises(experiment.StageError, match="stage 'distill'"):
+        experiment._run_stage("distill", experiment.stage_distill, cfg)
+    students = experiment._student_dir(cfg.output_dir)
+    assert not os.path.exists(students) or os.listdir(students) == []
+    assert not os.path.exists(experiment._student_meta_path(cfg.output_dir))
+
+
 def test_failed_stage_flags_status(tmp_path):
     cfg_path = tiny_config(tmp_path)
     cfg = load_cfg(cfg_path)
@@ -173,11 +187,8 @@ def test_make_ensemble_mode_d_partitions(tmp_path):
 
 
 def test_make_ensemble_mode_d_needs_two_partitions(tmp_path):
-    cfg = load_cfg(tiny_config(tmp_path, extra=(
-        "ensemble.mode = D\nensemble.partitions = 1\n")))
-    art = experiment.stage_preprocess(cfg)
-    with pytest.raises(ValueError):
-        experiment.make_ensemble(cfg, art)
+    with pytest.raises(ConfigError, match="ensemble.partitions >= 2"):
+        load_cfg(tiny_config(tmp_path, extra="ensemble.mode = D\nensemble.partitions = 1\n"))
 
 
 def test_evaluate_adds_teacher_average_row(tmp_path):
@@ -244,14 +255,3 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["make-ensemble", "-c", str(cfg_path)]) == 2  # no ensemble.mode
     err = capsys.readouterr().err
     assert "stage 'distill'" in err
-
-
-def test_workers_env_gives_identical_results(tmp_path, monkeypatch):
-    cfg = load_cfg(tiny_config(tmp_path, seeds="1,2"))
-    experiment.run(cfg)
-    serial = experiment._read_runs_csv(cfg.output_dir)
-    monkeypatch.setenv(experiment.WORKERS_ENV, "2")
-    experiment.run(cfg)
-    parallel = experiment._read_runs_csv(cfg.output_dir)
-    key = lambda rows: [(r.model, r.seed, r.auc, r.logloss, r.best_epoch) for r in rows]
-    assert key(serial) == key(parallel)  # identical numbers, wall time aside
