@@ -12,8 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .data import (CATEGORICAL, NUMERIC, FieldSchema, RandomRatioSplit,
-                   SequentialSplit, TableSchema)
+from .data import RandomRatioSplit, SequentialSplit, TableSchema
 from .distill import COTRAIN, HINT, PRETRAIN, SOFT_LABEL, DistillConfig
 from .models import PRESETS, ModelSpec, _ints, spec_from_preset
 from .train import TrainHyper
@@ -207,8 +206,8 @@ class ExperimentConfig:
         if any(s < 0 for s in self["train.seeds"]):
             raise ConfigError("seeds must be non-negative")
         dcfg = self.distill_config()  # surfaces weight/temperature violations early
-        if (dcfg.scheme == PRETRAIN and dcfg.method == HINT and dcfg.beta == 0.0
-                and self["distill.stop"] == "kd_loss"):
+        if (self["distill.scheme"] == PRETRAIN and dcfg.method == HINT
+                and dcfg.beta == 0.0 and self["distill.stop"] == "kd_loss"):
             raise ConfigError("hint distillation with distill.beta = 0 has no KD loss "
                               "to stop on; set distill.stop = val_auc")
         for side, preset in [("teacher", None), ("student", None),
@@ -253,14 +252,9 @@ class ExperimentConfig:
 
     def table_schema(self) -> TableSchema:
         delim = {"tab": "\t", "comma": ","}[self["data.delimiter"]]
-        fields = [FieldSchema(f"I{i + 1}", NUMERIC, pos)
-                  for i, pos in enumerate(self["data.numeric_columns"])]
-        fields += [FieldSchema(f"C{i + 1}", CATEGORICAL, pos)
-                   for i, pos in enumerate(self["data.categorical_columns"])]
-        if not fields:
-            raise ConfigError("no feature columns configured")
         try:
-            return TableSchema(self["data.label_column"], fields, delimiter=delim)
+            return TableSchema(self["data.label_column"], self["data.numeric_columns"],
+                               self["data.categorical_columns"], delimiter=delim)
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
@@ -305,7 +299,6 @@ class ExperimentConfig:
                 tau=self["distill.tau"],
                 beta=self["distill.beta"],
                 gamma=self["distill.gamma"],
-                scheme=self["distill.scheme"],
                 gating=self["distill.gating"])
         except ValueError as err:
             raise ConfigError(str(err)) from None

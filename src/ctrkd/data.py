@@ -19,47 +19,30 @@ import numpy as np
 
 UNK_INDEX = 0
 
-CATEGORICAL = "categorical"
-NUMERIC = "numeric"
-
-
-@dataclass(frozen=True)
-class FieldSchema:
-    name: str
-    kind: str
-    position: int
-
 
 class TableSchema:
-    """Column layout of one raw file: label position plus typed fields."""
+    """Column layout of one raw file. ``numeric_columns`` is sorted, and
+    ``categorical_fields`` holds ``(name, column)`` pairs in column order,
+    where ``C<k>`` names the k-th listed column."""
 
-    def __init__(self, label_column: int, fields: Sequence[FieldSchema],
-                 delimiter: str = "\t"):
-        kinds = {f.kind for f in fields}
-        if not kinds <= {CATEGORICAL, NUMERIC}:
-            raise ValueError(f"unknown field kind in {kinds}")
-        positions = [f.position for f in fields]
+    def __init__(self, label_column: int, numeric_columns: Sequence[int] = (),
+                 categorical_columns: Sequence[int] = (), delimiter: str = "\t"):
+        positions = [*numeric_columns, *categorical_columns]
+        if not positions:
+            raise ValueError("no feature columns configured")
         if len(set(positions)) != len(positions):
             raise ValueError("field positions must be unique")
         if label_column in positions:
             raise ValueError("label column cannot also be a feature column")
-        if sorted(positions) != list(range(min(positions), min(positions) + len(positions))):
+        if max(positions) - min(positions) + 1 != len(positions):
             raise ValueError("feature positions must be contiguous")
         self.label_column = label_column
-        self.fields = tuple(sorted(fields, key=lambda f: f.position))
+        self.numeric_columns = tuple(sorted(numeric_columns))
+        self.categorical_fields = tuple(sorted(
+            ((f"C{k}", column) for k, column in enumerate(categorical_columns, start=1)),
+            key=lambda field: field[1]))
+        self.n_columns = max(label_column, *positions) + 1
         self.delimiter = delimiter
-
-    @property
-    def categorical_fields(self) -> tuple[FieldSchema, ...]:
-        return tuple(f for f in self.fields if f.kind == CATEGORICAL)
-
-    @property
-    def numeric_fields(self) -> tuple[FieldSchema, ...]:
-        return tuple(f for f in self.fields if f.kind == NUMERIC)
-
-    @property
-    def n_columns(self) -> int:
-        return max([self.label_column] + [f.position for f in self.fields]) + 1
 
 
 def read_rows(path, delimiter: str = "\t") -> list[list[str]]:
@@ -74,13 +57,12 @@ def read_rows(path, delimiter: str = "\t") -> list[list[str]]:
     return rows
 
 
-def transform_numeric(x):
-    """Squash large numerics: x if x <= 2, else (ln x)^2."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = arr.copy()
-    big = arr > 2.0
-    out[big] = np.square(np.log(arr[big]))
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
+def transform_numeric(x: np.ndarray) -> np.ndarray:
+    """Squash large numerics: x if x <= 2, else (ln x)^2, elementwise."""
+    out = np.array(x, dtype=np.float64)
+    big = out > 2.0
+    out[big] = np.square(np.log(out[big]))
+    return out
 
 
 def _parse_numeric(token: str) -> float:
@@ -126,18 +108,12 @@ class FeatureVocabulary:
               min_count: int) -> "FeatureVocabulary":
         if not rows:
             raise ValueError("cannot build a vocabulary from zero rows")
-        cat_fields = schema.categorical_fields
-        counters = {f.name: Counter() for f in cat_fields}
-        width = schema.n_columns
-        for i, row in enumerate(rows):
-            if len(row) < width:
-                raise ValueError(f"row {i} has {len(row)} columns, schema needs {width}")
-            for f in cat_fields:
-                counters[f.name][row[f.position]] += 1
+        _check_width(rows, schema.n_columns)
         mapping = {}
-        for f in cat_fields:
-            kept = sorted(t for t, c in counters[f.name].items() if c >= min_count)
-            mapping[f.name] = {tok: i + 1 for i, tok in enumerate(kept)}
+        for name, column in schema.categorical_fields:
+            counts = Counter(row[column] for row in rows)
+            kept = sorted(t for t, c in counts.items() if c >= min_count)
+            mapping[name] = {tok: i + 1 for i, tok in enumerate(kept)}
         return cls(mapping)
 
     def size(self, field: str) -> int:
@@ -145,9 +121,6 @@ class FeatureVocabulary:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(self.size(f) for f in self.mapping)
-
-    def index(self, field: str, token: str) -> int:
-        return self.mapping[field].get(token, UNK_INDEX)
 
     def _serialize(self) -> bytes:
         lines = []
@@ -164,9 +137,12 @@ class FeatureVocabulary:
     def load(cls, path) -> "FeatureVocabulary":
         mapping: dict[str, dict[str, int]] = {}
         with open(path, "rb") as f:
-            for line in f.read().decode("utf-8").splitlines():
-                field, token, index = line.split("\t")
-                mapping.setdefault(_unescape(field), {})[_unescape(token)] = int(index)
+            text = f.read().decode("utf-8")
+        # split only at the "\n" that _serialize ends each line with: a token
+        # may hold other line breaks, such as "\x0c" or "\u2028"
+        for line in text.removesuffix("\n").split("\n") if text else ():
+            field, token, index = line.split("\t")
+            mapping.setdefault(_unescape(field), {})[_unescape(token)] = int(index)
         for field, m in mapping.items():
             if sorted(m.values()) != list(range(1, len(m) + 1)):
                 raise ValueError(f"vocabulary file has non-dense indices for field {field}")
@@ -236,32 +212,39 @@ class EncodedDataset:
             return cls(z["cat"], z["num"], z["labels"])
 
 
-def encode_rows(rows: Sequence[Sequence[str]], schema: TableSchema,
-                vocab: FeatureVocabulary) -> EncodedDataset:
-    """Map raw rows to index/value arrays using a frozen vocabulary."""
-    cat_fields = schema.categorical_fields
-    num_fields = schema.numeric_fields
-    n = len(rows)
-    cat = np.zeros((n, len(cat_fields)), dtype=np.int32)
-    num = np.zeros((n, len(num_fields)), dtype=np.float64)
-    labels = np.zeros(n, dtype=np.float64)
-    width = schema.n_columns
+def _check_width(rows: Sequence[Sequence[str]], width: int) -> None:
     for i, row in enumerate(rows):
         if len(row) < width:
             raise ValueError(f"row {i} has {len(row)} columns, schema needs {width}: "
                              f"column {len(row)} is missing")
-        raw_label = row[schema.label_column]
-        if raw_label not in ("0", "1"):
-            raise ValueError(f"row {i}: label {raw_label!r} is not binary")
-        labels[i] = float(raw_label)
-        for j, f in enumerate(cat_fields):
-            cat[i, j] = vocab.index(f.name, row[f.position])
-        for j, f in enumerate(num_fields):
+
+
+def encode_rows(rows: Sequence[Sequence[str]], schema: TableSchema,
+                vocab: FeatureVocabulary) -> EncodedDataset:
+    """Map raw rows to index/value arrays using a frozen vocabulary, one
+    column at a time: every row's width is checked first, then the labels,
+    then each categorical and each numeric column in turn."""
+    n = len(rows)
+    _check_width(rows, schema.n_columns)
+    binary = {"0": 0.0, "1": 1.0}
+    labels = [binary.get(row[schema.label_column]) for row in rows]
+    if None in labels:
+        i = labels.index(None)
+        raise ValueError(f"row {i}: label {rows[i][schema.label_column]!r} is not binary")
+    cat = np.empty((n, len(schema.categorical_fields)), dtype=np.int32)
+    for j, (name, column) in enumerate(schema.categorical_fields):
+        get = vocab.mapping[name].get
+        cat[:, j] = np.fromiter((get(row[column], UNK_INDEX) for row in rows),
+                                dtype=np.int32, count=n)
+    num = np.empty((n, len(schema.numeric_columns)), dtype=np.float64)
+    values = np.empty(n, dtype=np.float64)
+    for j, column in enumerate(schema.numeric_columns):
+        for i, row in enumerate(rows):
             try:
-                value = _parse_numeric(row[f.position])
+                values[i] = _parse_numeric(row[column])
             except ValueError as err:
-                raise ValueError(f"row {i}, column {f.position}: {err}") from None
-            num[i, j] = transform_numeric(value)
+                raise ValueError(f"row {i}, column {column}: {err}") from None
+        num[:, j] = transform_numeric(values)
     return EncodedDataset(cat, num, labels)
 
 

@@ -32,14 +32,11 @@ class DistillConfig:
     tau: float = 1.0
     beta: float = 0.5
     gamma: float = 0.5
-    scheme: str = PRETRAIN
     gating: bool = False
 
     def __post_init__(self):
         if self.method not in (SOFT_LABEL, HINT):
             raise ValueError(f"unknown distillation method {self.method!r}")
-        if self.scheme not in (PRETRAIN, COTRAIN):
-            raise ValueError(f"unknown training scheme {self.scheme!r}")
         if self.method == SOFT_LABEL:
             if self.tau < 1.0:
                 raise ValueError("temperature tau must be >= 1")

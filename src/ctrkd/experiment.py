@@ -79,7 +79,7 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
                 for part in (train_rows, val_rows, test_rows)]
     for name, ds in zip(("train", "val", "test"), datasets):
         ds.save_npz(os.path.join(outdir, f"{name}.npz"))
-    dims = FieldDims(vocab.sizes(), len(schema.numeric_fields))
+    dims = FieldDims(vocab.sizes(), len(schema.numeric_columns))
     fingerprint = vocab.fingerprint()
     meta = [*dims.to_kv().items(), ("fingerprint", fingerprint),
             ("rows_train", len(datasets[0])), ("rows_val", len(datasets[1])),
@@ -193,7 +193,8 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
     if missing:
         raise FileNotFoundError(f"missing teacher checkpoints: {missing}")
     dcfg = cfg.distill_config()
-    if dcfg.scheme == COTRAIN and len(ckpts) != 1:
+    scheme = cfg["distill.scheme"]
+    if scheme == COTRAIN and len(ckpts) != 1:
         raise ValueError("co-train supports exactly one teacher")
     teachers = [persist.load(ckpt).build_model(expected_fingerprint=art.fingerprint)
                 for ckpt in ckpts]
@@ -201,7 +202,7 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
     stop_mode, kd_train, kd_val = VAL_AUC_MAX, art.train, art.val
     if cfg["distill.stop"] == "kd_loss":
         stop_mode, kd_val = KD_LOSS_MIN, None
-        if dcfg.scheme == PRETRAIN and cfg["distill.merge_val"]:
+        if scheme == PRETRAIN and cfg["distill.merge_val"]:
             kd_train = EncodedDataset.concatenate([art.train, art.val])
     hyper = cfg.train_hyper()
     student_spec = cfg.model_spec("student")
@@ -215,7 +216,7 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
                                         art.train, art.val))
         student = Model(student_spec, art.dims, seed=seed)
         extras = {}
-        if dcfg.scheme == COTRAIN:
+        if scheme == COTRAIN:
             co_teacher = Model(teachers[0].spec, art.dims, seed=cfg["train.teacher_seed"])
             _, record = train_student_cotrain(co_teacher, student, dcfg, art.train,
                                               hyper, seed=seed)

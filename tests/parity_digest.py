@@ -9,7 +9,7 @@ hashes the bytes of every parameter it trained (model, gate, projectors)
 together with the ``repr`` of its per-epoch records: epoch, loss, monitored
 value and the stop flag. Epoch seconds are wall time and are left out.
 
-Each of the 9 pipeline runs is ``ctrkd run`` on a small synthetic file and
+Each of the 10 pipeline runs is ``ctrkd run`` on a small synthetic file and
 hashes every file under its ``output.dir``, in path order. In CSV files the
 ``seconds`` column is blanked and ``ckpt`` is made relative to ``output.dir``;
 every other file is hashed as it is.
@@ -32,6 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from ctrkd.cli import main as ctrkd_main
+from ctrkd.config import format_kv, parse_kv
 from ctrkd.data import EncodedDataset
 from ctrkd.distill import DistillConfig
 from ctrkd.models import PRESETS, FieldDims, Model, spec_from_preset
@@ -108,9 +109,8 @@ def runs():
                                         val_data=val, stop_mode=stop)
         yield f"student/{name}", _digest(_distill_params(student, result), [result.record])
 
-    cotrain = [("soft", DistillConfig(tau=2.0, scheme="cotrain")),
-               ("hint", DistillConfig(method="hint", beta=1e-3, gamma=1.0,
-                                      scheme="cotrain"))]
+    cotrain = [("soft", DistillConfig(tau=2.0)),
+               ("hint", DistillConfig(method="hint", beta=1e-3, gamma=1.0))]
     for name, dcfg in cotrain:
         teacher = Model(spec_from_preset("deepfm", **SHAPE), dims, seed=60)
         student = Model(student_spec, dims, seed=61)
@@ -156,6 +156,13 @@ PIPELINES = [
     # the seed loop without a plain student
     ("no-plain-student", "report.include_plain_student = false\n"
                          "report.baseline = student_kd\n"),
+    # columns listed out of order: C<k> names the k-th listed column, and the
+    # vocabulary and the encoded arrays follow column order. The synthetic
+    # columns share one token set, so only a min_count that drops different
+    # tokens per column makes vocab.tsv tell the columns apart.
+    ("shuffled-columns", "data.numeric_columns = 2,1\n"
+                         "data.categorical_columns = 5,3,6,4\n"
+                         "data.min_count = 60\n"),
 ]
 
 
@@ -184,7 +191,8 @@ def pipeline_runs():
         for name, extra in PIPELINES:
             cfg_path = os.path.join(tmp, f"{name}.cfg")
             with open(cfg_path, "w", encoding="utf-8") as f:
-                f.write(PIPELINE_BASE + f"output.dir = {name}\n" + extra)
+                keys = {**parse_kv(PIPELINE_BASE), "output.dir": name, **parse_kv(extra)}
+                f.write(format_kv(keys.items()))
             with contextlib.redirect_stdout(io.StringIO()):
                 code = ctrkd_main(["run", "-c", cfg_path])
             if code != 0:

@@ -374,14 +374,14 @@ def test_pipeline_fidelity_against_scripted_oracle(tmp_path):
     encoded_test = encode_rows(test_rows, schema, vocab)
 
     # independent single-pass frequency oracle over the raw training rows
-    for j, field in enumerate(schema.categorical_fields):
-        counts = Counter(r[field.position] for r in train_rows)
+    for j, (name, column) in enumerate(schema.categorical_fields):
+        counts = Counter(r[column] for r in train_rows)
         kept = {t for t, c in counts.items() if c >= min_count}
-        assert vocab.size(field.name) == len(kept) + 1, field.name
+        assert vocab.size(name) == len(kept) + 1, name
         # UNK hits in the encoded train split == rows holding a rare token
         expected_unk = sum(c for t, c in counts.items() if t not in kept)
-        assert int((encoded_train.cat[:, j] == 0).sum()) == expected_unk, field.name
+        assert int((encoded_train.cat[:, j] == 0).sum()) == expected_unk, name
         # test-split UNK hits: tokens rare-in-train or never seen in train
-        expected_test_unk = sum(1 for r in test_rows if r[field.position] not in kept)
-        assert int((encoded_test.cat[:, j] == 0).sum()) == expected_test_unk, field.name
+        expected_test_unk = sum(1 for r in test_rows if r[column] not in kept)
+        assert int((encoded_test.cat[:, j] == 0).sum()) == expected_test_unk, name
     _pass("pipeline fidelity (vocab sizes, UNK collapse, split cardinalities)")

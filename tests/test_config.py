@@ -21,7 +21,7 @@ def test_parse_minimal_with_defaults():
     assert cfg["train.lr"] == 0.001
     assert cfg["distill.scheme"] == "pretrain"
     schema = cfg.table_schema()
-    assert len(schema.numeric_fields) == 2
+    assert len(schema.numeric_columns) == 2
     assert len(schema.categorical_fields) == 6
 
 
@@ -81,7 +81,7 @@ def test_model_specs_from_config():
 def test_criteo_recipe_defaults():
     cfg = parse_config_text("data.path = x\ndata.format = criteo\noutput.dir = o\n")
     schema = cfg.table_schema()
-    assert len(schema.numeric_fields) == 13
+    assert len(schema.numeric_columns) == 13
     assert len(schema.categorical_fields) == 26
     assert schema.delimiter == "\t"
     assert cfg["data.min_count"] == 10
@@ -94,7 +94,7 @@ def test_avazu_recipe_defaults():
     cfg = parse_config_text("data.path = x\ndata.format = avazu\noutput.dir = o\n")
     schema = cfg.table_schema()
     assert len(schema.categorical_fields) == 22
-    assert len(schema.numeric_fields) == 0
+    assert len(schema.numeric_columns) == 0
     assert schema.delimiter == ","
     assert schema.label_column == 1
     assert cfg["data.min_count"] == 5

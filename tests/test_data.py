@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrkd import data as D
+from ctrkd.config import parse_config_text
 
 
 def toy_schema():
-    fields = [
-        D.FieldSchema("x", D.NUMERIC, 1),
-        D.FieldSchema("a", D.CATEGORICAL, 2),
-        D.FieldSchema("b", D.CATEGORICAL, 3),
-    ]
-    return D.TableSchema(0, fields, delimiter="\t")
+    # label, one numeric column, then the categorical fields C1 and C2
+    return D.TableSchema(0, numeric_columns=(1,), categorical_columns=(2, 3),
+                         delimiter="\t")
 
 
 def make_rows(tokens_a, tokens_b=None, label="0"):
@@ -27,27 +25,26 @@ def make_rows(tokens_a, tokens_b=None, label="0"):
 
 def test_schema_validation():
     with pytest.raises(ValueError):
-        D.TableSchema(1, [D.FieldSchema("a", D.CATEGORICAL, 1)])
+        D.TableSchema(1, categorical_columns=(1,))
     with pytest.raises(ValueError):
-        D.TableSchema(0, [D.FieldSchema("a", D.CATEGORICAL, 1),
-                          D.FieldSchema("b", D.CATEGORICAL, 3)])
-    with pytest.raises(ValueError):
-        D.TableSchema(0, [D.FieldSchema("a", "weird", 1)])
+        D.TableSchema(0, categorical_columns=(1, 3))
+    with pytest.raises(ValueError, match="no feature columns configured"):
+        D.TableSchema(0)
 
 
 def test_vocab_threshold_semantics():
     rows = make_rows(["a"] * 12 + ["b"] * 3)
     vocab = D.FeatureVocabulary.build(rows, toy_schema(), min_count=10)
-    assert vocab.index("a", "a") == 1
-    assert vocab.index("a", "b") == D.UNK_INDEX
-    assert vocab.size("a") == 2
+    assert vocab.mapping["C1"].get("a", D.UNK_INDEX) == 1
+    assert vocab.mapping["C1"].get("b", D.UNK_INDEX) == D.UNK_INDEX
+    assert vocab.size("C1") == 2
 
 
 def test_vocab_min_count_one_keeps_everything():
     rows = make_rows(["a", "b", "c", "a"])
     vocab = D.FeatureVocabulary.build(rows, toy_schema(), min_count=1)
-    assert vocab.size("a") == 4  # three tokens + UNK
-    assert all(vocab.index("a", t) != D.UNK_INDEX for t in "abc")
+    assert vocab.size("C1") == 4  # three tokens + UNK
+    assert all(vocab.mapping["C1"].get(t, D.UNK_INDEX) != D.UNK_INDEX for t in "abc")
 
 
 def test_vocab_empty_input_rejected():
@@ -68,8 +65,8 @@ def test_vocab_matches_counter_oracle():
     vocab = D.FeatureVocabulary.build(rows, toy_schema(), min_count=10)
     counts = Counter(tokens)
     kept = {t for t, c in counts.items() if c >= 10}
-    assert vocab.size("a") == len(kept) + 1
-    assert set(vocab.mapping["a"]) == kept
+    assert vocab.size("C1") == len(kept) + 1
+    assert set(vocab.mapping["C1"]) == kept
 
 
 def test_vocab_frozen_after_build():
@@ -84,6 +81,13 @@ def test_vocab_frozen_after_build():
 
 def test_vocab_roundtrip_through_file(tmp_path):
     rows = make_rows(["a", "a", "we\tird", "we\tird", ""])
+    # read_rows breaks lines only at \n, \r and \r\n, so a token keeps every
+    # other character that str.splitlines would break at
+    raw = tmp_path / "rows.txt"
+    breaks = "\x0b\x0c\x1c\x85\u2028\u2029"
+    raw.write_text("".join(f"0\t1.0\tp{ch}q\tz\n" for ch in breaks * 2), encoding="utf-8")
+    rows += D.read_rows(raw)
+    assert [row[2] for row in rows[-len(breaks):]] == [f"p{ch}q" for ch in breaks]
     vocab = D.FeatureVocabulary.build(rows, toy_schema(), min_count=2)
     path = tmp_path / "vocab.tsv"
     vocab.save(path)
@@ -95,10 +99,10 @@ def test_vocab_roundtrip_through_file(tmp_path):
 def test_encode_decode_roundtrip_token_or_unk():
     rows = make_rows(["a", "b", "a", "c", "a", "b"])
     vocab = D.FeatureVocabulary.build(rows, toy_schema(), min_count=2)
-    inverse = {i: t for t, i in vocab.mapping["a"].items()}
+    inverse = {i: t for t, i in vocab.mapping["C1"].items()}
     assert D.UNK_INDEX not in inverse
     for tok in ["a", "b", "c", "unseen"]:
-        idx = vocab.index("a", tok)
+        idx = vocab.mapping["C1"].get(tok, D.UNK_INDEX)
         back = inverse.get(idx)
         if idx == D.UNK_INDEX:
             assert back is None
@@ -107,10 +111,8 @@ def test_encode_decode_roundtrip_token_or_unk():
 
 
 def test_transform_numeric_branches():
-    assert D.transform_numeric(1.0) == 1.0
-    assert D.transform_numeric(2.0) == 2.0
     e2 = float(np.exp(2.0))
-    assert D.transform_numeric(e2) == pytest.approx(4.0, abs=1e-12)
+    np.testing.assert_array_equal(D.transform_numeric(np.array([1.0, 2.0])), [1.0, 2.0])
     np.testing.assert_allclose(
         D.transform_numeric(np.array([0.0, 2.0, e2])), [0.0, 2.0, 4.0], atol=1e-12)
 
@@ -145,6 +147,34 @@ def test_encode_rows_rejects_non_finite_numerics():
             D.encode_rows(rows, toy_schema(), vocab)
     with pytest.raises(ValueError, match=r"row 0, column 1: .*'x1'"):
         D.encode_rows([["0", "x1", "a", "z"]], toy_schema(), vocab)
+
+
+def test_encode_rows_of_zero_rows_keeps_column_shapes():
+    vocab = D.FeatureVocabulary.build(make_rows(["a", "b"]), toy_schema(), min_count=1)
+    ds = D.encode_rows([], toy_schema(), vocab)
+    assert (ds.cat.shape, ds.cat.dtype) == ((0, 2), np.int32)
+    assert (ds.num.shape, ds.num.dtype) == ((0, 1), np.float64)
+    assert ds._labels.shape == (0,)
+
+
+def test_columns_listed_out_of_order_follow_column_order():
+    schema = parse_config_text("data.numeric_columns = 2,1\n"
+                               "data.categorical_columns = 5,3,6,4\n").table_schema()
+    # label, numerics in columns 1-2, categoricals in columns 3-6
+    rows = [["1", "3.0", "0.5", "a", "b", "a", "c"],
+            ["0", "", "9.0", "b", "a", "a", "b"],
+            ["1", "1.0", "", "c", "a", "b", "a"]]
+    vocab = D.FeatureVocabulary.build(rows, schema, min_count=1)
+    # C<k> names the k-th listed column: C1 is column 5, C2 column 3, ...
+    assert list(vocab.mapping) == ["C2", "C4", "C1", "C3"]
+    assert vocab.sizes() == (4, 3, 3, 4)
+    assert set(vocab.mapping["C1"]) == {"a", "b"}
+    ds = D.encode_rows(rows, schema, vocab)
+    np.testing.assert_array_equal(ds.cat, [[1, 2, 1, 3], [2, 1, 1, 2], [3, 1, 2, 1]])
+    np.testing.assert_allclose(
+        ds.num, [[math.log(3.0) ** 2, 0.5], [0.0, math.log(9.0) ** 2], [1.0, 0.0]],
+        rtol=0, atol=1e-12)
+    assert ds._labels.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_random_split_exact_ratio():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctrkd import persist
-from ctrkd.data import FeatureVocabulary, TableSchema, FieldSchema, CATEGORICAL
+from ctrkd.data import FeatureVocabulary, TableSchema
 from ctrkd.models import FieldDims, Model, ModelSpec, spec_from_preset
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "v1_adam.ckpt")
@@ -87,7 +87,7 @@ def test_version_mismatch(tmp_path):
 
 
 def test_fingerprint_refusal(tmp_path):
-    schema = TableSchema(0, [FieldSchema("a", CATEGORICAL, 1)])
+    schema = TableSchema(0, categorical_columns=(1,))
     rows_a = [["0", "x"], ["1", "y"], ["0", "x"], ["1", "y"]]
     rows_b = [["0", "x"], ["1", "z"], ["0", "x"], ["1", "z"]]
     vocab_a = FeatureVocabulary.build(rows_a, schema, min_count=1)
