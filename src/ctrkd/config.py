@@ -205,6 +205,7 @@ class ExperimentConfig:
     def _validate(self):
         if any(s < 0 for s in self["train.seeds"]):
             raise ConfigError("seeds must be non-negative")
+        self.split_strategy()
         dcfg = self.distill_config()  # surfaces weight/temperature violations early
         if (self["distill.scheme"] == PRETRAIN and dcfg.method == HINT
                 and dcfg.beta == 0.0 and self["distill.stop"] == "kd_loss"):
@@ -259,14 +260,16 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from None
 
     def split_strategy(self):
-        if self["data.split"] == "random":
-            ratios = self["data.split_ratios"]
-            if len(ratios) != 3:
-                raise ConfigError("data.split_ratios needs three values")
-            return RandomRatioSplit(tuple(ratios), self["data.split_seed"])
-        if "data.day_column" not in self.values or "data.train_days" not in self.values:
+        if self["data.split"] == "sequential" and (
+                "data.day_column" not in self.values or "data.train_days" not in self.values):
             raise ConfigError("sequential split needs data.day_column and data.train_days")
-        return SequentialSplit(self["data.day_column"], self["data.train_days"])
+        try:
+            if self["data.split"] == "random":
+                return RandomRatioSplit(tuple(self["data.split_ratios"]),
+                                        self["data.split_seed"])
+            return SequentialSplit(self["data.day_column"], self["data.train_days"])
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def model_spec(self, side: str, preset: str | None = None) -> ModelSpec:
         """The ``side``'s model, or ``preset`` built with the ``side``'s shape keys."""

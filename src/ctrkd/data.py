@@ -80,18 +80,6 @@ def _escape(token: str) -> str:
     return token.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
-def _unescape(token: str) -> str:
-    out = []
-    it = iter(token)
-    for ch in it:
-        if ch != "\\":
-            out.append(ch)
-            continue
-        nxt = next(it, "")
-        out.append({"t": "\t", "n": "\n", "\\": "\\"}.get(nxt, nxt))
-    return "".join(out)
-
-
 class FeatureVocabulary:
     """Per-field token -> index maps with index 0 reserved for UNK.
 
@@ -132,21 +120,6 @@ class FeatureVocabulary:
     def save(self, path) -> None:
         with open(path, "wb") as f:
             f.write(self._serialize())
-
-    @classmethod
-    def load(cls, path) -> "FeatureVocabulary":
-        mapping: dict[str, dict[str, int]] = {}
-        with open(path, "rb") as f:
-            text = f.read().decode("utf-8")
-        # split only at the "\n" that _serialize ends each line with: a token
-        # may hold other line breaks, such as "\x0c" or "\u2028"
-        for line in text.removesuffix("\n").split("\n") if text else ():
-            field, token, index = line.split("\t")
-            mapping.setdefault(_unescape(field), {})[_unescape(token)] = int(index)
-        for field, m in mapping.items():
-            if sorted(m.values()) != list(range(1, len(m) + 1)):
-                raise ValueError(f"vocabulary file has non-dense indices for field {field}")
-        return cls(mapping)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self._serialize()).hexdigest()
@@ -253,11 +226,20 @@ class RandomRatioSplit:
     ratios: tuple[float, float, float]
     seed: int
 
+    def __post_init__(self):
+        r = self.ratios
+        if len(r) != 3 or any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
+            raise ValueError(f"split ratios must be three non-negatives summing to 1, got {r}")
+
 
 @dataclass(frozen=True)
 class SequentialSplit:
     day_column: int
     train_days: int
+
+    def __post_init__(self):
+        if self.train_days < 1:
+            raise ValueError("sequential split needs at least one training day")
 
 
 def split_rows(rows: Sequence, strategy) -> tuple[list, list, list]:
@@ -271,8 +253,6 @@ def split_rows(rows: Sequence, strategy) -> tuple[list, list, list]:
 
 def _split_random(rows, strategy: RandomRatioSplit):
     r = strategy.ratios
-    if len(r) != 3 or any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must be three non-negatives summing to 1, got {r}")
     n = len(rows)
     perm = np.random.default_rng(strategy.seed).permutation(n)
     b1 = math.floor(n * r[0] + 0.5)
@@ -282,8 +262,6 @@ def _split_random(rows, strategy: RandomRatioSplit):
 
 
 def _split_sequential(rows, strategy: SequentialSplit):
-    if strategy.train_days < 1:
-        raise ValueError("sequential split needs at least one training day")
     days_in_order: list[str] = []
     day_of_row = []
     for i, row in enumerate(rows):

@@ -179,7 +179,7 @@ class Model:
         self.spec = spec
         self.dims = dims
         n_cat = len(dims.vocab_sizes)
-        if spec.needs_embeddings and n_cat + dims.n_numeric == 0:
+        if n_cat + dims.n_numeric == 0:
             raise ValueError("model needs at least one input field")
         self._params: list[Tensor] = []
         rng = np.random.default_rng(seed)
@@ -298,8 +298,6 @@ class Model:
             out = T.add(T.rows(table, cat[:, i]), out)
         if self.linear_num is not None:
             out = T.add(out, T.matmul(Tensor(num), self.linear_num))
-        if out is self.linear_bias:  # degenerate: no fields at all
-            out = T.add(out, Tensor(np.zeros((num.shape[0], 1))))
         return out
 
     def _fm(self, cat, num, embeds):
@@ -338,10 +336,8 @@ class Model:
         pooled = []
         for w, h in zip(self.cin_w, self.spec.cin_maps):
             # map h: sum_{i,j} W[h, i*m+j] * (X^{k-1}_i o X^0_j)
-            zmat = T.pairwise_mul(prev, fmat)                 # (B*d, prev*m)
-            xmat = T.matmul(zmat, T.transpose(w))             # (B*d, h)
-            pooled.append(T.reduce_sum(T.reshape(xmat, (b, d, h)), axis=1))
-            prev = xmat
+            prev = T.cin_layer(prev, fmat, w)                 # (B*d, h)
+            pooled.append(T.reduce_sum(T.reshape(prev, (b, d, h)), axis=1))
         vec = T.concat(pooled, axis=1) if len(pooled) > 1 else pooled[0]
         logit = T.add(T.matmul(vec, self.cin_head_w), self.cin_head_b)
         return logit, vec

@@ -364,35 +364,35 @@ def rows(table, indices) -> Tensor:
     return _from_op(table.values[idx], "rows", (table, adjoint))
 
 
-def pairwise_mul(a, b) -> Tensor:
-    """All column products of two equal-row matrices.
+def cin_layer(prev, fmat, w) -> Tensor:
+    """One compressed-interaction (CIN) layer over rows of field vectors.
 
-    out[:, i*m + j] = a[:, i] * b[:, j] for a with h columns and b with m
-    columns; the workhorse of compressed-interaction layers.
+    out[:, k] = sum_{i,j} w[k, i*m + j] * prev[:, i] * fmat[:, j] for
+    ``prev`` with H columns (the previous layer's maps), ``fmat`` with m
+    columns (the base maps) and ``w`` of shape (h, H*m). ``w`` meets the
+    base maps first, V = fmat @ W' with W'[j, k*H + i] = w[k, i*m + j], and
+    V*prev is then summed over H, so no (rows, H*m) product is built.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError(f"pairwise_mul expects equal-row 2-d tensors, "
-                         f"got {a.shape} and {b.shape}")
-    n, h = a.shape
-    m = b.shape[1]
-    values = (a.values[:, :, None] * b.values[:, None, :]).reshape(n, h * m)
+    prev, fmat, w = as_tensor(prev), as_tensor(fmat), as_tensor(w)
+    if prev.ndim != 2 or fmat.ndim != 2 or prev.shape[0] != fmat.shape[0]:
+        raise ValueError(f"cin_layer expects equal-row 2-d maps, "
+                         f"got {prev.shape} and {fmat.shape}")
+    n, H = prev.shape
+    m = fmat.shape[1]
+    if w.ndim != 2 or w.shape[1] != H * m:
+        raise ValueError(f"cin_layer: weight shape {w.shape} is not (h, {H * m})")
+    h = w.shape[0]
+    w_prime = w.values.reshape(h, H, m).transpose(2, 0, 1).reshape(m, h * H)
+    v = (fmat.values @ w_prime).reshape(n, h, H)
 
-    def adjoint_a(g):
-        # Not einsum or matmul: both sum the last axis in another order
-        # than numpy's pairwise sum, which changes low bits and with
-        # them xDeepFM's training trajectory.
-        return (g.reshape(n, h, m) * b.values[:, None, :]).sum(axis=2)
+    def g_v(g):  # d out / d V: g outer prev, flattened like V
+        return (g[:, :, None] * prev.values[:, None, :]).reshape(n, h * H)
 
-    def adjoint_b(g):
-        # Both forms add the h products in order; with m == 1 the summed
-        # axis is the innermost one, which numpy sums pairwise and
-        # einsum does not, so that case keeps the reference form.
-        g3 = g.reshape(n, h, m)
-        return (np.einsum("nij,ni->nj", g3, a.values) if m > 1
-                else (g3 * a.values[:, :, None]).sum(axis=1))
-
-    return _from_op(values, "pairwise_mul", (a, adjoint_a), (b, adjoint_b))
+    return _from_op(np.einsum("nki,ni->nk", v, prev.values), "cin_layer",
+                    (prev, lambda g: np.einsum("nk,nki->ni", g, v)),
+                    (fmat, lambda g: g_v(g) @ w_prime.T),
+                    (w, lambda g: (fmat.values.T @ g_v(g)).reshape(m, h, H)
+                     .transpose(1, 2, 0).reshape(h, H * m)))
 
 
 def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

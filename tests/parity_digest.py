@@ -86,7 +86,7 @@ def runs():
     record = train_teacher(model, train, hyper, seed=40, val_data=val)
     yield "teacher/dnn-dropout-l2", _digest(model.parameters(), [record])
 
-    # one field and no numerics: the CIN's pairwise product has m == 1
+    # one field and no numerics: the CIN has a single base map (m == 1)
     one = FieldDims((TASK.vocab,), 0)
     one_train, one_val = (EncodedDataset(d.cat[:, :1], d.num[:, :0], d.labels)
                           for d in (train, val))

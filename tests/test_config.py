@@ -1,5 +1,6 @@
 import pytest
 
+from ctrkd import cli
 from ctrkd.config import (ConfigError, ExperimentConfig, format_kv, load_config,
                           parse_config_text, parse_kv)
 from ctrkd.data import RandomRatioSplit, SequentialSplit
@@ -67,6 +68,22 @@ def test_split_strategies():
     assert cfg.split_strategy() == SequentialSplit(9, 7)
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "\ndata.split = sequential\n").split_strategy()
+
+
+@pytest.mark.parametrize("split", ["data.split_ratios = 0.5,0.5,0.5",
+                                   "data.split_ratios = 0.5,0.5",
+                                   "data.split = sequential\ndata.train_days = 0\n"
+                                   "data.day_column = 1",
+                                   "data.split = sequential"],
+                         ids=["ratio-sum", "two-ratios", "no-train-day", "no-day-column"])
+def test_bad_split_settings_fail_at_parse_time(tmp_path, split):
+    with pytest.raises(ConfigError):
+        parse_config_text(MINIMAL + split + "\n")
+    (tmp_path / "data.txt").write_text("1\t0.5\t2\ta\tb\tc\td\te\tf\n" * 20)
+    path = tmp_path / "exp.cfg"
+    path.write_text(MINIMAL + split + "\n")
+    assert cli.main(["preprocess", "-c", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_model_specs_from_config():

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from ctrkd import cli, experiment, persist
-from ctrkd.config import ConfigError, parse_config_text
+from ctrkd.config import ConfigError, load_config, parse_config_text
+from ctrkd.data import EncodedDataset
+from ctrkd.models import Model
 from ctrkd.synth import SyntheticSpec, write_synthetic_file
+from ctrkd.train import KD_LOSS_MIN, train_student_pretrain
 
 TINY = SyntheticSpec(n_cat=4, vocab=12, n_num=2, latent_dim=2)
 
@@ -213,6 +216,37 @@ def test_prediction_average_mode(tmp_path):
     t_rows = [r for r in rows if r.model.startswith("teacher/")]
     # averaging predictions is not the same as averaging metrics
     assert avg.auc != pytest.approx(np.mean([r.auc for r in t_rows]), abs=1e-12)
+
+
+@pytest.mark.parametrize("overrides, prefix", [
+    ({"ensemble.mode": "M", "ensemble.teachers": "fm,xdeepfm", "distill.gating": "true"},
+     "gate."),
+    ({"distill.method": "hint", "distill.beta": "0.001", "distill.gamma": "1"}, "hintproj."),
+], ids=["gated-fm-xdeepfm", "hint"])
+def test_kd_student_checkpoint_keeps_the_trained_extras(tmp_path, overrides, prefix):
+    cfg = load_config(tiny_config(tmp_path), overrides)
+    experiment.run(cfg)
+    outdir = cfg.output_dir
+    art = experiment.DataArtifacts.load(outdir)
+    teachers = [persist.load(row["ckpt"]).build_model()
+                for row in experiment._read_meta(experiment._teacher_meta_path(outdir))]
+    # the distill stage's pretrain run, repeated: KD-loss stop on merged train+val
+    student = Model(cfg.model_spec("student"), art.dims, seed=1)
+    result = train_student_pretrain(student, teachers, cfg.distill_config(),
+                                    EncodedDataset.concatenate([art.train, art.val]),
+                                    cfg.train_hyper(), seed=1, stop_mode=KD_LOSS_MIN)
+    trained = [p for part in [result.gate, *(result.projectors or [])] if part is not None
+               for p in part.parameters()]
+    ckpt = persist.load(os.path.join(outdir, "students", "student_kd-s1.ckpt"))
+    assert sorted(name for name in ckpt.tensors if name.startswith(prefix)) == \
+        sorted(p.name for p in trained)
+    for p in trained:
+        assert ckpt.tensors[p.name].tobytes() == p.values.tobytes(), p.name
+    loaded = ckpt.build_model(expected_fingerprint=art.fingerprint)
+    assert all(loaded.state()[k].tobytes() == v.tobytes() for k, v in student.state().items())
+    evaluated = {row.model for row in experiment._read_runs_csv(outdir)}
+    assert {"student_kd", *(f"teacher/{t}" for t in
+                            overrides.get("ensemble.teachers", "fm").split(","))} <= evaluated
 
 
 def test_cotrain_scheme_through_pipeline(tmp_path):

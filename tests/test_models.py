@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctrkd import tensor as T
-from ctrkd.models import PRESETS, FieldDims, Model, ModelSpec, spec_from_preset
+from ctrkd.models import PRESETS, WIDE_KINDS, FieldDims, Model, ModelSpec, spec_from_preset
 from ctrkd.tensor import sigmoid_values
 
 from gradcheck import check_grads
@@ -28,6 +28,12 @@ def test_spec_validation():
         ModelSpec(wide="cin", cin_maps=())
     with pytest.raises(ValueError):
         ModelSpec(deep=(8,), dropout=1.0)
+
+
+def test_model_without_input_fields_is_refused():
+    for preset in PRESETS:
+        with pytest.raises(ValueError, match="at least one input field"):
+            Model(spec_from_preset(preset), FieldDims((), 0))
 
 
 def test_spec_kv_roundtrip():
@@ -290,6 +296,12 @@ def test_hint_selection():
     _, hint = fm.forward(cat, num)
     assert hint.shape == (3, 3)
     assert fm.hint_dim == 3
+    for wide in WIDE_KINDS:
+        for deep in [(8, 5)] + ([] if wide == "none" else [()]):
+            model = Model(ModelSpec(wide=wide, deep=deep, embedding_dim=3, cross_layers=2,
+                                    cin_maps=(3, 2)), DIMS, seed=1)
+            _, hint = model.forward(cat, num)
+            assert hint.shape == (3, model.hint_dim), (wide, deep)
 
 
 def test_inference_values_equal_the_eval_forward_bitwise():

@@ -161,10 +161,11 @@ def test_no_grad_records_no_graph():
     rng = np.random.default_rng(2)
     w = parameter(rng.normal(size=(4, 3)), "w")
     x = Tensor(rng.normal(size=(2, 4)))
+    c = parameter(rng.normal(size=(2, 9)), "c")
     live = T.sigmoid(T.matmul(x, w))
     with T.no_grad():
         outs = [T.matmul(x, w), T.add(w, w), T.square(w), T.rows(w, np.array([0, 2])),
-                T.pairwise_mul(w, w), T.reduce_sum(w), T.sigmoid(T.matmul(x, w))]
+                T.cin_layer(w, w, c), T.reduce_sum(w), T.sigmoid(T.matmul(x, w))]
     for out in outs:
         assert not out.requires_grad
         assert out._parents == () and out._grad_fn is None
@@ -206,8 +207,8 @@ def test_only_leaves_keep_grad():
     rng = np.random.default_rng(4)
     a = parameter(rng.normal(size=(5, 3)), "a")
     b = parameter(rng.normal(size=(5, 4)), "b")
-    w = parameter(rng.normal(size=(12, 2)), "w")
-    z = T.matmul(T.pairwise_mul(a, b), w)
+    w = parameter(rng.normal(size=(2, 12)), "w")
+    z = T.cin_layer(a, b, w)
     h = T.relu(T.add(z, T.expand(T.reduce_sum(a, axis=1, keepdims=True), z.shape)))
     loss = T.reduce_sum(T.mul(T.sigmoid(h), h))
     intermediates = [z, h, loss]
@@ -221,16 +222,22 @@ def test_only_leaves_keep_grad():
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (6, 1, 4), (6, 3, 1), (2, 9, 1),
                                    (7, 5, 6), (16000, 8, 8), (16000, 4, 8)],
                          ids=lambda shape: "x".join(map(str, shape)))
-def test_pairwise_mul_b_adjoint_is_bitwise_the_reference(shape):
-    n, h, m = shape
-    rng = np.random.default_rng(n * 100 + h * 10 + m)
-    a = parameter(rng.normal(size=(n, h)), "a")
-    b = parameter(rng.normal(size=(n, m)), "b")
-    g = rng.normal(size=(n, h * m))
-    [(_, ga), (_, gb)] = T.pairwise_mul(a, b)._grad_fn(g)
-    g3 = g.reshape(n, h, m)
-    assert ga.tobytes() == (g3 * b.values[:, None, :]).sum(axis=2).tobytes()
-    assert gb.tobytes() == (g3 * a.values[:, :, None]).sum(axis=1).tobytes()
+def test_cin_layer_matches_the_product_form(shape):
+    # rows x previous maps x base maps; the layer has 3 output maps
+    n, H, m = shape
+    rng = np.random.default_rng(n * 100 + H * 10 + m)
+    prev, fmat = rng.normal(size=(n, H)), rng.normal(size=(n, m))
+    w = rng.normal(size=(3, H * m))
+    g = rng.normal(size=(n, 3))
+    out = T.cin_layer(parameter(prev), parameter(fmat), parameter(w))
+    [(_, g_prev), (_, g_fmat), (_, g_w)] = out._grad_fn(g)
+    z = (prev[:, :, None] * fmat[:, None, :]).reshape(n, H * m)  # column i*m + j
+    gz = (g @ w).reshape(n, H, m)
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.values, z @ w.T, **close)
+    np.testing.assert_allclose(g_prev, (gz * fmat[:, None, :]).sum(axis=2), **close)
+    np.testing.assert_allclose(g_fmat, (gz * prev[:, :, None]).sum(axis=1), **close)
+    np.testing.assert_allclose(g_w, g.T @ z, **close)
 
 
 def test_multi_input_ops_run_the_adjoints_of_live_inputs_only():
@@ -243,7 +250,7 @@ def test_multi_input_ops_run_the_adjoints_of_live_inputs_only():
         "matmul": (T.matmul, [(3, 4), (4, 2)]),
         "bce_with_logits": (T.bce_with_logits, [(3, 1), (3, 1)]),
         "concat": (lambda *ts: T.concat(ts, axis=1), [(3, 2), (3, 1), (3, 3)]),
-        "pairwise_mul": (T.pairwise_mul, [(3, 2), (3, 4)]),
+        "cin_layer": (T.cin_layer, [(3, 2), (3, 4), (5, 8)]),
     }
     rng = np.random.default_rng(8)
     for name, (op, shapes) in ops.items():
@@ -318,19 +325,27 @@ def test_rows_gather_and_scatter():
         T.rows(table, np.array([4]))
 
 
-def test_pairwise_mul_values_and_gradcheck():
+def test_cin_layer_values_and_gradcheck():
     rng = np.random.default_rng(21)
-    a = parameter(rng.normal(size=(6, 3)), "a")
-    b = parameter(rng.normal(size=(6, 4)), "b")
-    out = T.pairwise_mul(a, b)
-    assert out.shape == (6, 12)
-    for i in range(3):
-        for j in range(4):
-            np.testing.assert_allclose(out.values[:, i * 4 + j],
-                                       a.values[:, i] * b.values[:, j], rtol=1e-15)
-    check_grads(lambda: T.reduce_sum(T.square(T.pairwise_mul(a, b))), [a, b], tol=1e-6)
+    prev = parameter(rng.normal(size=(6, 3)), "prev")
+    fmat = parameter(rng.normal(size=(6, 4)), "fmat")
+    w = parameter(rng.normal(size=(2, 12)), "w")
+    out = T.cin_layer(prev, fmat, w)
+    assert out.shape == (6, 2)
+    for k in range(2):
+        expected = sum(w.values[k, i * 4 + j] * prev.values[:, i] * fmat.values[:, j]
+                       for i in range(3) for j in range(4))
+        np.testing.assert_allclose(out.values[:, k], expected, rtol=1e-12)
+    check_grads(lambda: T.reduce_sum(T.square(T.cin_layer(prev, fmat, w))),
+                [prev, fmat, w], tol=1e-6)
+    # a first layer reads the base maps twice
+    w0 = parameter(rng.normal(size=(2, 16)), "w0")
+    check_grads(lambda: T.reduce_sum(T.square(T.cin_layer(fmat, fmat, w0))),
+                [fmat, w0], tol=1e-6)
     with pytest.raises(ValueError):
-        T.pairwise_mul(a, parameter(np.zeros((5, 4))))
+        T.cin_layer(prev, parameter(np.zeros((5, 4))), w)
+    with pytest.raises(ValueError):
+        T.cin_layer(prev, fmat, parameter(np.zeros((2, 11))))
 
 
 def test_transpose_roundtrip_gradient():
@@ -344,6 +359,7 @@ def test_every_primitive_against_finite_differences():
     x = rng.normal(size=(3, 4)) + 0.1
     y = rng.normal(size=(3, 4)) + 2.0  # keeps div away from zero
     col = rng.normal(size=(3, 1)) + 0.1
+    c = parameter(rng.normal(size=(2, 16)), "c")  # weights of a 2-map CIN layer
     cases = {
         "add": lambda a, b: T.add(a, b),
         "sub": lambda a, b: T.sub(a, b),
@@ -357,12 +373,13 @@ def test_every_primitive_against_finite_differences():
         "matmul": lambda a, b: T.matmul(a, T.transpose(b)),
         "reduce0": lambda a, b: T.reduce_sum(a, axis=0),
         "expand": lambda a, b: T.mul(T.expand(a, (3, 4)), b),
+        "cin_layer": lambda a, b: T.cin_layer(a, b, c),
     }
     for name, build in cases.items():
         a = parameter((col if name == "expand" else x).copy(), "a")
         b = parameter(y.copy(), "b")
         err = check_grads(lambda: T.mul(T.reduce_sum(T.square(build(a, b))), 0.25),
-                          [a, b], tol=1e-4)
+                          [a, b, c], tol=1e-4)
         assert err < 1e-4, name
 
 
