@@ -68,6 +68,13 @@ def _choice(*allowed: str):
     return parse
 
 
+def _column(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("expected a non-negative column number")
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(",") if x.strip() != "")
 
@@ -107,14 +114,14 @@ KEYS: dict[str, tuple] = {
     "data.path": (str, None),
     "data.format": (_choice("generic", "criteo", "avazu"), "generic"),
     "data.delimiter": (_choice("tab", "comma"), "tab"),
-    "data.label_column": (int, "0"),
+    "data.label_column": (_column, "0"),
     "data.numeric_columns": (_span, ""),
     "data.categorical_columns": (_span, ""),
     "data.min_count": (int, "10"),
     "data.split": (_choice("random", "sequential"), "random"),
     "data.split_ratios": (_floats, "0.8,0.1,0.1"),
     "data.split_seed": (int, "2020"),
-    "data.day_column": (int, None),
+    "data.day_column": (_column, None),
     "data.train_days": (int, None),
     # distillation
     "distill.method": (_choice(SOFT_LABEL, HINT), SOFT_LABEL),
@@ -206,6 +213,7 @@ class ExperimentConfig:
         if any(s < 0 for s in self["train.seeds"]):
             raise ConfigError("seeds must be non-negative")
         self.split_strategy()
+        self.train_hyper()
         dcfg = self.distill_config()  # surfaces weight/temperature violations early
         if (self["distill.scheme"] == PRETRAIN and dcfg.method == HINT
                 and dcfg.beta == 0.0 and self["distill.stop"] == "kd_loss"):
@@ -307,13 +315,16 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from None
 
     def train_hyper(self) -> TrainHyper:
-        return TrainHyper(
-            lr=self["train.lr"],
-            batch_size=self["train.batch_size"],
-            max_epochs=self["train.max_epochs"],
-            patience=self["train.patience"],
-            l2_embedding=self["train.l2_embedding"],
-            kd_monitor_rows=self["train.kd_monitor_rows"])
+        try:
+            return TrainHyper(
+                lr=self["train.lr"],
+                batch_size=self["train.batch_size"],
+                max_epochs=self["train.max_epochs"],
+                patience=self["train.patience"],
+                l2_embedding=self["train.l2_embedding"],
+                kd_monitor_rows=self["train.kd_monitor_rows"])
+        except ValueError as err:  # the message starts with the field name
+            raise ConfigError(f"train.{err}") from None
 
     @property
     def seeds(self) -> tuple[int, ...]:

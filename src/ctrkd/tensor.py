@@ -13,6 +13,17 @@ without clearing grads yields exactly twice the single-pass gradient.
 Only leaves (tensors no op produced, such as parameters) keep a ``.grad``;
 an intermediate adjoint is handed to the op's inputs and then dropped.
 
+``rows`` gathers from a table whose adjoint is mostly zero when the
+vocabulary dwarfs the batch. When the table has at least twice as many rows
+as there are indices, the adjoint is a ``RowGrad``: the sorted touched rows
+and their summed gradients. A leaf that has no gradient yet keeps it as
+``row_grad``, which ``train.Adam`` reads without building the dense
+table-sized array. Everything else densifies it first: a second backward
+into the same leaf, two adjoints meeting at one node, a table an op
+produced. Reading ``.grad`` densifies too, so every reader sees the same
+dense ndarray, bit for bit, as the dense scatter would have given; smaller
+tables get that scatter directly.
+
 Inside a ``no_grad()`` block ops record nothing: they compute the same
 values, but their outputs have no parents and ``requires_grad`` False, so
 inference builds no graph.
@@ -25,7 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,22 +57,59 @@ def _as_values(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
+class RowGrad(NamedTuple):
+    """Row-sparse gradient of a 2-d table: row ``rows[k]`` has gradient
+    ``values[k]``; ``rows`` is sorted and unique, and every other row's
+    gradient is zero."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def dense(self, like: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(like)
+        out[self.rows] = self.values
+        return out
+
+
+def _dense(g, like: np.ndarray) -> np.ndarray:
+    return g.dense(like) if isinstance(g, RowGrad) else g
+
+
 class Tensor:
     """Dense numeric array with shape, values, and an optional grad slot."""
 
-    __slots__ = ("values", "grad", "requires_grad", "name",
+    __slots__ = ("values", "_grad", "_row_grad", "requires_grad", "name",
                  "_parents", "_grad_fn", "_op", "_seq")
 
     def __init__(self, data, requires_grad: bool = False,
                  name: str | None = None):
         self.values = _as_values(data)
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._row_grad: RowGrad | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn: GradFn | None = None
         self._op: str | None = None
         self._seq = next(_seq_counter)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The dense gradient; reading it densifies a stored ``row_grad``."""
+        if self._row_grad is not None:
+            self._grad = self._row_grad.dense(self.values)
+            self._row_grad = None
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+        self._row_grad = None
+
+    @property
+    def row_grad(self) -> RowGrad | None:
+        """The gradient while it is still row-sparse, else None."""
+        return self._row_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,14 +142,22 @@ class Tensor:
             if g is None:
                 continue
             if t._grad_fn is None:
-                # zeros plus g rather than a copy of g: 0.0 + -0.0 is +0.0
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.values)
-                t.grad += g
+                t._accumulate(g)
             else:
-                for parent, pg in t._grad_fn(g):
+                for parent, pg in t._grad_fn(_dense(g, t.values)):
                     acc = adjoints.get(id(parent))
-                    adjoints[id(parent)] = pg if acc is None else acc + pg
+                    adjoints[id(parent)] = (pg if acc is None else
+                                            _dense(acc, parent.values) + _dense(pg, parent.values))
+
+    def _accumulate(self, g) -> None:
+        if isinstance(g, RowGrad) and self._grad is None and self._row_grad is None:
+            self._row_grad = g
+            return
+        grad = self.grad
+        if grad is None:
+            # zeros plus g rather than a copy of g: 0.0 + -0.0 is +0.0
+            grad = self._grad = np.zeros_like(self.values)
+        grad += _dense(g, self.values)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -346,7 +402,13 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def rows(table, indices) -> Tensor:
-    """Gather rows of a 2-d table; backward scatter-adds into the table."""
+    """Gather rows of a 2-d table; backward scatter-adds into the table.
+
+    A table with at least twice as many rows as indices gets a ``RowGrad``
+    adjoint, any other table the dense scatter. Each touched row sums the
+    same terms in the same order from +0.0 either way, so the two agree bit
+    for bit.
+    """
     table = as_tensor(table)
     if table.ndim != 2:
         raise ValueError(f"rows expects a 2-d table, got shape {table.shape}")
@@ -356,10 +418,21 @@ def rows(table, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(f"row index out of range for table with {table.shape[0]} rows")
 
+    n_rows = table.shape[0]
+
     def adjoint(g):
-        full = np.zeros_like(table.values)
-        np.add.at(full, idx, g)
-        return full
+        if 2 * idx.size > n_rows:
+            full = np.zeros_like(table.values)
+            np.add.at(full, idx, g)
+            return full
+        # one slot per table row: mark the touched rows, then number them
+        slot = np.zeros(n_rows, dtype=np.intp)
+        slot[idx] = 1
+        touched = np.flatnonzero(slot)
+        slot[touched] = np.arange(touched.size)
+        buf = np.zeros((touched.size, table.shape[1]))
+        np.add.at(buf, slot[idx], g)
+        return RowGrad(touched, buf)
 
     return _from_op(table.values[idx], "rows", (table, adjoint))
 

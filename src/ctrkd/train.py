@@ -9,6 +9,7 @@ run consumes exactly the rng draws a standalone teacher run would.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -66,10 +67,29 @@ class TrainHyper:
     l2_embedding: float = 0.0
     kd_monitor_rows: int = 8192
 
+    def __post_init__(self):
+        # each message starts with the field name, the suffix of its config key
+        checks = [("lr", math.isfinite(self.lr) and self.lr > 0, "a positive finite number"),
+                  ("batch_size", self.batch_size >= 1, "at least 1"),
+                  ("max_epochs", self.max_epochs >= 0, "at least 0"),
+                  ("patience", self.patience is None or self.patience >= 1,
+                   "at least 1 when set"),
+                  ("l2_embedding", math.isfinite(self.l2_embedding) and self.l2_embedding >= 0,
+                   "a non-negative finite number"),
+                  ("kd_monitor_rows", self.kd_monitor_rows >= 1, "at least 1")]
+        for field, ok, what in checks:
+            if not ok:
+                raise ValueError(f"{field} must be {what}, got {getattr(self, field)!r}")
+
 
 class Adam:
     """Adam with bias correction, moment decays ``BETA1``, ``BETA2`` and
-    denominator guard ``EPS``."""
+    denominator guard ``EPS``.
+
+    A row-sparse gradient (``Tensor.row_grad``) updates the moments of its
+    touched rows only; the decay and the parameter update still cover the
+    whole table, as dense Adam moves untouched rows too.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
@@ -77,22 +97,38 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
+        # two update buffers sized to the largest parameter, shared by all
+        size = max((p.size for p in self.params), default=0)
+        a, b = np.empty(size), np.empty(size)
+        self._scratch = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
+                         for p in self.params]
 
     def step(self) -> None:
         """Apply one bias-corrected update, then clear the gradients."""
         for p in self.params:
-            if p.grad is None:
+            if p.row_grad is None and p.grad is None:
                 raise ValueError(f"parameter {p.name or p} has no gradient")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._scratch):
             m *= BETA1
-            m += (1.0 - BETA1) * g
             v *= BETA2
-            v += (1.0 - BETA2) * np.square(g)
-            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+            sparse = p.row_grad
+            if sparse is None:
+                g = p.grad
+                m += np.multiply(1.0 - BETA1, g, out=a)
+                v += np.multiply(1.0 - BETA2, np.square(g, out=b), out=b)
+            else:
+                # the dense path adds +0.0 to untouched rows' moments and this
+                # one adds nothing: values, and so updates, are equal
+                touched, g = sparse
+                m[touched] += (1.0 - BETA1) * g
+                v[touched] += (1.0 - BETA2) * np.square(g)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + EPS), op for op
+            np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, c2, out=b), out=b), EPS, out=b)
+            p.values -= np.divide(a, b, out=a)
             p.grad = None
 
 

@@ -14,6 +14,11 @@ hashes every file under its ``output.dir``, in path order. In CSV files the
 ``seconds`` column is blanked and ``ckpt`` is made relative to ``output.dir``;
 every other file is hashed as it is.
 
+The 4 large-vocabulary runs, printed last, are hashed like the library runs.
+Their tables have eight times as many rows as a batch, so ``rows`` gives a
+row-sparse gradient and most rows go untouched for many steps; one run adds
+L2 on the embeddings, which densifies that gradient.
+
 Nothing depends on ``PYTHONHASHSEED``: runs, parameters, records and files are
 hashed in list order. pytest does not collect this file.
 """
@@ -119,6 +124,31 @@ def runs():
                                          records)
 
 
+BIG_TASK = SyntheticSpec(n_cat=8, vocab=4000, n_num=2, latent_dim=3)
+BIG_HYPER = replace(HYPER, batch_size=500, max_epochs=4, patience=None)
+
+
+def bigvocab_runs():
+    """Yield (name, digest) for every large-vocabulary run, in a fixed order."""
+    ds, _ = synthetic_dataset(5000, seed=12, spec=BIG_TASK)
+    train, val = ds.subset(np.arange(4000)), ds.subset(np.arange(4000, 5000))
+    dims = FieldDims((BIG_TASK.vocab,) * BIG_TASK.n_cat, BIG_TASK.n_num)
+    runs = [("deepfm", "deepfm", BIG_HYPER),
+            ("wide_deep", "wide_deep", BIG_HYPER),
+            ("deepfm-l2", "deepfm", replace(BIG_HYPER, l2_embedding=1e-4))]
+    teacher = None
+    for i, (name, preset, hyper) in enumerate(runs):
+        model = Model(spec_from_preset(preset, **SHAPE), dims, seed=70 + i)
+        record = train_teacher(model, train, hyper, seed=70 + i, val_data=val)
+        teacher = teacher or model
+        yield f"bigvocab/teacher/{name}", _digest(model.parameters(), [record])
+
+    student = Model(spec_from_preset("dnn", **SHAPE), dims, seed=75)
+    result = train_student_pretrain(student, [teacher], DistillConfig(tau=2.0), train,
+                                    BIG_HYPER, seed=75, val_data=val, stop_mode=KD_LOSS_MIN)
+    yield "bigvocab/student", _digest(_distill_params(student, result), [result.record])
+
+
 PIPELINE_BASE = """\
 data.path = clicks.txt
 data.numeric_columns = 1-2
@@ -210,7 +240,7 @@ def pipeline_runs():
 
 def main() -> int:
     combined = hashlib.sha256()
-    for name, digest in itertools.chain(runs(), pipeline_runs()):
+    for name, digest in itertools.chain(runs(), pipeline_runs(), bigvocab_runs()):
         print(f"{digest}  {name}", flush=True)
         combined.update(f"{name} {digest}\n".encode())
     print(f"{combined.hexdigest()}  combined")

@@ -55,6 +55,22 @@ def test_bad_value_rejected():
         parse_config_text(MINIMAL + "\ndistill.gating = maybe\n")
 
 
+@pytest.mark.parametrize("line", ["data.label_column = -1",
+                                  "data.split = sequential\ndata.day_column = -1\n"
+                                  "data.train_days = 2"], ids=["label", "day"])
+def test_negative_column_numbers_rejected(line):
+    with pytest.raises(ConfigError, match="bad value for data.(label|day)_column"):
+        parse_config_text(MINIMAL + line + "\n")
+
+
+@pytest.mark.parametrize("key,value", [("lr", "-0.01"), ("lr", "nan"), ("batch_size", "0"),
+                                       ("max_epochs", "-1"), ("patience", "0"),
+                                       ("l2_embedding", "-1"), ("kd_monitor_rows", "0")])
+def test_bad_train_settings_fail_at_parse_time(key, value):
+    with pytest.raises(ConfigError, match=f"^train.{key} must be"):
+        parse_config_text(MINIMAL + f"\ntrain.{key} = {value}\n")
+
+
 def test_distill_weights_validated_at_parse_time():
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "\ndistill.beta = 0.9\ndistill.gamma = 0.9\n")

@@ -325,6 +325,77 @@ def test_rows_gather_and_scatter():
         T.rows(table, np.array([4]))
 
 
+def _dense_scatter(n_rows, d, idx, g):
+    full = np.zeros((n_rows, d))
+    np.add.at(full, idx, g)
+    return full
+
+
+def _weighted_rows_loss(table, idx, weights):
+    return T.reduce_sum(T.mul(T.rows(table, idx), Tensor(weights)))
+
+
+def test_rows_gradient_row_sparse_when_table_has_twice_the_indices():
+    rng = np.random.default_rng(5)
+    table = parameter(rng.normal(size=(50, 3)), "emb")
+    for idx in (np.array([7, 3, 7, 49, 0, 3, 3, 12]), np.array([], dtype=np.int64),
+                rng.integers(0, 50, size=25)):
+        weights = rng.normal(size=(idx.size, 3))
+        _weighted_rows_loss(table, idx, weights).backward()
+        touched, _ = table.row_grad
+        np.testing.assert_array_equal(touched, np.unique(idx))
+        expected = _dense_scatter(50, 3, idx, weights)
+        assert table.grad.tobytes() == expected.tobytes()
+        assert table.row_grad is None  # reading .grad densified it
+        table.grad = None
+    # more than half as many indices as rows: the dense scatter directly
+    idx = rng.integers(0, 50, size=26)
+    weights = rng.normal(size=(26, 3))
+    _weighted_rows_loss(table, idx, weights).backward()
+    assert table.row_grad is None
+    assert table.grad.tobytes() == _dense_scatter(50, 3, idx, weights).tobytes()
+
+
+def test_two_rows_of_one_table_sum_like_dense_scatters():
+    rng = np.random.default_rng(6)
+    table = parameter(rng.normal(size=(40, 2)), "emb")
+    i1, i2 = np.array([1, 5, 5, 30]), np.array([5, 2, 39])
+    w1, w2 = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+
+    def loss():  # two gathers from one table in one graph
+        return T.add(_weighted_rows_loss(table, i1, w1), _weighted_rows_loss(table, i2, w2))
+
+    once = _dense_scatter(40, 2, i1, w1) + _dense_scatter(40, 2, i2, w2)
+    loss().backward()
+    assert table.row_grad is None  # the two adjoints met as dense arrays
+    assert table.grad.tobytes() == once.tobytes()
+    loss().backward()
+    assert table.grad.tobytes() == (once + once).tobytes()
+
+
+def test_rows_second_backward_into_row_sparse_leaf_doubles_gradient():
+    rng = np.random.default_rng(7)
+    table = parameter(rng.normal(size=(30, 4)), "emb")
+    idx = np.array([3, 3, 11, 29, 0])
+    weights = rng.normal(size=(5, 4))
+    _weighted_rows_loss(table, idx, weights).backward()
+    assert table.row_grad is not None
+    _weighted_rows_loss(table, idx, weights).backward()
+    single = _dense_scatter(30, 4, idx, weights)
+    assert table.grad.tobytes() == (single + single).tobytes()
+
+
+def test_rows_on_a_table_an_op_produced():
+    rng = np.random.default_rng(8)
+    base = parameter(rng.normal(size=(20, 3)), "base")
+    idx = np.array([4, 0, 4])
+    weights = rng.normal(size=(3, 3))
+    _weighted_rows_loss(T.mul(base, 3.0), idx, weights).backward()
+    assert base.row_grad is None
+    expected = _dense_scatter(20, 3, idx, weights) * 3.0
+    assert base.grad.tobytes() == expected.tobytes()
+
+
 def test_cin_layer_values_and_gradcheck():
     rng = np.random.default_rng(21)
     prev = parameter(rng.normal(size=(6, 3)), "prev")

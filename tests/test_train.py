@@ -72,6 +72,75 @@ def test_adam_three_steps_on_quadratic_matches_scalar_oracle():
     assert w.values[0] == pytest.approx(expected, abs=1e-12)
 
 
+def _dense_adam_replay(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The dense Adam statements, verbatim, on raw arrays."""
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+@pytest.mark.parametrize("shape,init", [((60, 1), "zeros"), ((60, 5), "normal")])
+def test_adam_row_sparse_step_matches_dense_replay(shape, init):
+    rng = np.random.default_rng(9)
+    start = np.zeros(shape) if init == "zeros" else rng.normal(size=shape)
+    table = parameter(start.copy(), "emb")
+    # a second, dense parameter shares the scratch buffers with the table
+    bias = parameter(rng.normal(size=(3,)), "bias")
+    opt = Adam([table, bias], lr=0.01)
+    ref = [start.copy(), np.zeros(shape), np.zeros(shape)]
+    ref_bias = [bias.values.copy(), np.zeros(3), np.zeros(3)]
+    for t in range(1, 26):
+        # rows 0-9 are touched most steps; rows 40-59 only every 8th step
+        idx = rng.integers(0, 10, size=12)
+        if t % 8 == 0:
+            idx = np.concatenate([idx, rng.integers(40, 60, size=3)])
+        weights = rng.normal(size=(idx.size, shape[1]))
+        loss = T.add(T.reduce_sum(T.mul(T.rows(table, idx), T.Tensor(weights))),
+                     T.reduce_sum(T.square(bias)))
+        bias_grad = 2.0 * bias.values
+        loss.backward()
+        assert table.row_grad is not None
+        opt.step()
+        g = np.zeros(shape)
+        np.add.at(g, idx, weights)
+        _dense_adam_replay(*ref, np.zeros(shape) + g, t, 0.01)
+        _dense_adam_replay(*ref_bias, np.zeros(3) + bias_grad, t, 0.01)
+        for got, want in zip([table.values, opt.m[0], opt.v[0]], ref):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip([bias.values, opt.m[1], opt.v[1]], ref_bias):
+            assert got.tobytes() == want.tobytes()
+    assert np.all(table.values[10:40] == start[10:40])  # never touched, m stays 0
+
+
+def test_setting_grad_clears_the_row_sparse_form():
+    table = parameter(np.zeros((10, 2)), "emb")
+    T.reduce_sum(T.rows(table, np.array([1, 4]))).backward()
+    assert table.row_grad is not None
+    table.grad = np.ones((10, 2))
+    assert table.row_grad is None
+    Adam([table], lr=0.01).step()
+    np.testing.assert_allclose(table.values, -0.01, rtol=1e-6)  # every row moved
+    assert table.grad is None and table.row_grad is None
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", -0.01), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("batch_size", 0), ("max_epochs", -1), ("patience", 0),
+    ("l2_embedding", -1e-4), ("l2_embedding", float("nan")), ("kd_monitor_rows", 0)])
+def test_train_hyper_refuses_values_that_train_the_wrong_thing(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainHyper(**{field: value})
+
+
+def test_train_hyper_accepts_its_edges():
+    TrainHyper(max_epochs=0, patience=None, l2_embedding=0.0, batch_size=1,
+               kd_monitor_rows=1)
+
+
 # -- early stopping ----------------------------------------------------------
 
 def test_monitor_never_stops_on_improving_sequence():
