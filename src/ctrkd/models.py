@@ -321,9 +321,8 @@ class Model:
         x = x0
         for w, b in zip(self.cross_w, self.cross_b):
             # x_{l+1} = x0 * (x_l . w_l) + b_l + x_l
-            s = T.matmul(x, w)
-            x = T.add(T.add(T.mul(x0, T.expand(s, x0.shape)), T.expand(b, x0.shape)), x)
-        logit = T.add(T.matmul(x, self.cross_head_w), self.cross_head_b)
+            x = T.cross_layer(x0, x, w, b)
+        logit = T.linear(x, self.cross_head_w, self.cross_head_b)
         return logit, x
 
     def _cin(self, num, embeds):
@@ -339,7 +338,7 @@ class Model:
             prev = T.cin_layer(prev, fmat, w)                 # (B*d, h)
             pooled.append(T.reduce_sum(T.reshape(prev, (b, d, h)), axis=1))
         vec = T.concat(pooled, axis=1) if len(pooled) > 1 else pooled[0]
-        logit = T.add(T.matmul(vec, self.cin_head_w), self.cin_head_b)
+        logit = T.linear(vec, self.cin_head_w, self.cin_head_b)
         return logit, vec
 
     def _deep(self, num, embeds, training, rng):
@@ -348,10 +347,10 @@ class Model:
             parts.append(Tensor(num))
         x = T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
         for w, b in self.mlp:
-            x = T.relu(T.add(T.matmul(x, w), T.expand(b, (x.shape[0], b.shape[1]))))
+            x = T.relu(T.linear(x, w, b))
             if self.spec.dropout > 0.0:
                 x = T.dropout(x, self.spec.dropout, training, rng)
-        logit = T.add(T.matmul(x, self.mlp_head_w), self.mlp_head_b)
+        logit = T.linear(x, self.mlp_head_w, self.mlp_head_b)
         return logit, x
 
     def forward(self, cat, num, training: bool = False,

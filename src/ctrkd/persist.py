@@ -48,27 +48,29 @@ class FingerprintMismatchError(CheckpointError):
     pass
 
 
-def _pack_tensors(named: dict[str, np.ndarray]) -> bytes:
-    parts = [struct.pack("<I", len(named))]
+def _tensor_parts(named: dict[str, np.ndarray]) -> list[tuple[bytes, np.ndarray]]:
+    """(header, float64 array) per tensor, the header ending in its shape."""
+    parts = []
     for name, arr in named.items():
         encoded = name.encode("utf-8")
         arr = np.ascontiguousarray(arr)
         if arr.dtype != np.float64:
             raise CheckpointError(f"unsupported tensor dtype {arr.dtype} for {name}")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<BB", _F64_CODE, arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.astype(_F64, copy=False).tobytes())
-    return b"".join(parts)
+        parts.append((struct.pack("<H", len(encoded)) + encoded
+                      + struct.pack(f"<BB{arr.ndim}Q", _F64_CODE, arr.ndim, *arr.shape),
+                      arr.astype(_F64, copy=False)))
+    return parts
 
 
 class _Reader:
+    """Reads a checkpoint's bytes through a ``memoryview``: ``take`` hands
+    out views, so nothing is copied until a tensor is."""
+
     def __init__(self, raw: bytes):
-        self.raw = raw
+        self.raw = memoryview(raw)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.raw):
             raise CorruptCheckpointError("checkpoint file is truncated")
         out = self.raw[self.pos:self.pos + n]
@@ -81,7 +83,7 @@ class _Reader:
     def name(self) -> str:
         (n,) = self.unpack("<H")
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError:
             raise CorruptCheckpointError("section or tensor name is not utf-8") from None
 
@@ -90,7 +92,7 @@ class _Reader:
         return self.pos == len(self.raw)
 
 
-def _unpack_tensors(raw: bytes) -> dict[str, np.ndarray]:
+def _unpack_tensors(raw: memoryview) -> dict[str, np.ndarray]:
     r = _Reader(raw)
     (count,) = r.unpack("<I")
     out = {}
@@ -149,17 +151,23 @@ def save(path, model: Model, *, seed: int = 0, epoch: int = 0,
         if name in tensors:
             raise CheckpointError(f"extra tensor name {name!r} collides with a parameter")
     tensors.update(extras or {})
-    sections.append(("tensors", _pack_tensors(tensors)))
+    parts = _tensor_parts(tensors)
 
-    blob = [MAGIC, struct.pack("<I", VERSION)]
-    for name, payload in sections:
+    def section_header(name: str, payload_len: int) -> bytes:
         encoded = name.encode("utf-8")
-        blob.append(struct.pack("<H", len(encoded)))
-        blob.append(encoded)
-        blob.append(struct.pack("<Q", len(payload)))
-        blob.append(payload)
+        return struct.pack("<H", len(encoded)) + encoded + struct.pack("<Q", payload_len)
+
+    # each tensor's bytes go to the file straight from its array
     with open(path, "wb") as f:
-        f.write(b"".join(blob))
+        f.write(MAGIC + struct.pack("<I", VERSION))
+        for name, payload in sections:
+            f.write(section_header(name, len(payload)) + payload)
+        f.write(section_header("tensors", 4 + sum(len(header) + arr.nbytes
+                                                  for header, arr in parts)))
+        f.write(struct.pack("<I", len(parts)))
+        for header, arr in parts:
+            f.write(header)
+            f.write(arr)
 
 
 def load(path) -> Checkpoint:
@@ -172,7 +180,7 @@ def load(path) -> Checkpoint:
     (version,) = r.unpack("<I")
     if version != VERSION:
         raise VersionMismatchError(f"checkpoint version {version}, expected {VERSION}")
-    sections: dict[str, bytes] = {}
+    sections: dict[str, memoryview] = {}
     while not r.exhausted:
         name = r.name()
         (payload_len,) = r.unpack("<Q")
@@ -182,7 +190,7 @@ def load(path) -> Checkpoint:
             raise CorruptCheckpointError(f"missing checkpoint section {required!r}")
 
     try:
-        spec_kv, fields_kv, meta = (parse_kv(sections[name].decode("utf-8"))
+        spec_kv, fields_kv, meta = (parse_kv(str(sections[name], "utf-8"))
                                     for name in ("spec", "fields", "meta"))
         spec, dims = ModelSpec.from_kv(spec_kv), FieldDims.from_kv(fields_kv)
         seed, epoch = int(meta["seed"]), int(meta["epoch"])

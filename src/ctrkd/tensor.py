@@ -29,8 +29,9 @@ values, but their outputs have no parents and ``requires_grad`` False, so
 inference builds no graph.
 
 Shape discipline is deliberately strict: elementwise ops accept equal
-shapes or a size-1 operand, nothing else. Structural ops (``expand``,
-``concat``, ``reshape``, ...) make every shape change explicit.
+shapes or a size-1 operand, nothing else. Structural ops (``concat``,
+``reshape``, ...) make every shape change explicit; the fused ops
+``linear`` and ``cross_layer`` add a (1, width) bias row to every row.
 """
 from __future__ import annotations
 
@@ -340,6 +341,68 @@ def matmul(a, b) -> Tensor:
                     (b, lambda g: a.values.T @ g))
 
 
+def _shared(build):
+    """``build(g)`` for several adjoints of one op, built once per backward
+    pass: ``get(g)`` builds it for a new adjoint ``g``, and ``take(g)``, for
+    the op's last adjoint, also lets it go so the graph does not keep it."""
+    memo = []
+
+    def get(g):
+        if not memo or memo[0] is not g:
+            memo[:] = [g, build(g)]
+        return memo[1]
+
+    def take(g):
+        value = get(g)
+        memo.clear()
+        return value
+
+    return get, take
+
+
+def _check_bias_row(b: Tensor, width: int, op: str) -> None:
+    if b.shape != (1, width):
+        raise ValueError(f"{op}: bias shape {b.shape} is not (1, {width})")
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a (1, width) bias row: one node for matmul plus bias."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear: cannot multiply {x.shape} by {w.shape}")
+    _check_bias_row(b, w.shape[1], "linear")
+    return _from_op(x.values @ w.values + b.values, "linear",
+                    (x, lambda g: g @ w.values.T),
+                    (w, lambda g: x.values.T @ g),
+                    (b, lambda g: g.sum(axis=0, keepdims=True)))
+
+
+def cross_layer(x0, x, w, b) -> Tensor:
+    """One DCN cross layer, x0 * (x @ w) + b + x, for (n, D) rows ``x0`` and
+    ``x``, a (D, 1) weight column ``w`` and a (1, D) bias row ``b``.
+
+    The adjoints come in the order the unfused chain of matmul, broadcasts,
+    mul and adds delivered them, ``x`` twice: in a first layer ``x`` is
+    ``x0``, and this order sums its three terms as that chain did.
+    """
+    x0, x, w, b = as_tensor(x0), as_tensor(x), as_tensor(w), as_tensor(b)
+    if x0.ndim != 2 or x.shape != x0.shape:
+        raise ValueError(f"cross_layer expects equal 2-d rows, got {x0.shape} and {x.shape}")
+    width = x0.shape[1]
+    if w.shape != (width, 1):
+        raise ValueError(f"cross_layer: weight shape {w.shape} is not ({width}, 1)")
+    _check_bias_row(b, width, "cross_layer")
+    s = x.values @ w.values
+    # d out / d s, shared by the last two adjoints
+    g_s, take_g_s = _shared(lambda g: (g * x0.values).sum(axis=1, keepdims=True))
+    return _from_op(x0.values * s + b.values + x.values, "cross_layer",
+                    (x, lambda g: g),
+                    (b, lambda g: g.sum(axis=0, keepdims=True)),
+                    (x0, lambda g: g * s),
+                    (x, lambda g: g_s(g) @ w.values.T),
+                    (w, lambda g: x.values.T @ take_g_s(g)))
+
+
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
@@ -351,18 +414,6 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     return _from_op(np.reshape(a.values, shape), "reshape",
                     (a, lambda g: g.reshape(a.shape)))
-
-
-def expand(a, shape) -> Tensor:
-    """Explicit broadcast of size-1 axes up to ``shape``."""
-    a = as_tensor(a)
-    shape = tuple(shape)
-    if len(shape) != a.ndim or any(
-            s != d and d != 1 for s, d in zip(shape, a.shape)):
-        raise ValueError(f"cannot expand shape {a.shape} to {shape}")
-    axes = tuple(i for i, (s, d) in enumerate(zip(shape, a.shape)) if d == 1 and s != 1)
-    return _from_op(np.broadcast_to(a.values, shape), "expand",
-                    (a, lambda g: g.sum(axis=axes, keepdims=True)))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -401,6 +452,17 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
                     (a, adjoint))
 
 
+def _scatter_add(index: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, width) sums of the rows of ``g`` by ``index``, as
+    ``np.add.at`` gives them: one ``bincount`` over the flat cell numbers
+    adds each cell's terms in index order, from +0.0."""
+    width = g.shape[1]
+    cells = (index.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(cells, weights=g.ravel(), minlength=n_rows * width)
+    # an empty index gives integer zeros
+    return out.astype(np.float64, copy=False).reshape(n_rows, width)
+
+
 def rows(table, indices) -> Tensor:
     """Gather rows of a 2-d table; backward scatter-adds into the table.
 
@@ -422,17 +484,13 @@ def rows(table, indices) -> Tensor:
 
     def adjoint(g):
         if 2 * idx.size > n_rows:
-            full = np.zeros_like(table.values)
-            np.add.at(full, idx, g)
-            return full
+            return _scatter_add(idx, g, n_rows)
         # one slot per table row: mark the touched rows, then number them
         slot = np.zeros(n_rows, dtype=np.intp)
         slot[idx] = 1
         touched = np.flatnonzero(slot)
         slot[touched] = np.arange(touched.size)
-        buf = np.zeros((touched.size, table.shape[1]))
-        np.add.at(buf, slot[idx], g)
-        return RowGrad(touched, buf)
+        return RowGrad(touched, _scatter_add(slot[idx], g, touched.size))
 
     return _from_op(table.values[idx], "rows", (table, adjoint))
 
@@ -458,13 +516,13 @@ def cin_layer(prev, fmat, w) -> Tensor:
     w_prime = w.values.reshape(h, H, m).transpose(2, 0, 1).reshape(m, h * H)
     v = (fmat.values @ w_prime).reshape(n, h, H)
 
-    def g_v(g):  # d out / d V: g outer prev, flattened like V
-        return (g[:, :, None] * prev.values[:, None, :]).reshape(n, h * H)
-
+    # d out / d V: g outer prev, flattened like V; shared by the last two adjoints
+    g_v, take_g_v = _shared(
+        lambda g: (g[:, :, None] * prev.values[:, None, :]).reshape(n, h * H))
     return _from_op(np.einsum("nki,ni->nk", v, prev.values), "cin_layer",
                     (prev, lambda g: np.einsum("nk,nki->ni", g, v)),
                     (fmat, lambda g: g_v(g) @ w_prime.T),
-                    (w, lambda g: (fmat.values.T @ g_v(g)).reshape(m, h, H)
+                    (w, lambda g: (fmat.values.T @ take_g_v(g)).reshape(m, h, H)
                      .transpose(1, 2, 0).reshape(h, H * m)))
 
 

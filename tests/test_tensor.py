@@ -208,14 +208,16 @@ def test_only_leaves_keep_grad():
     a = parameter(rng.normal(size=(5, 3)), "a")
     b = parameter(rng.normal(size=(5, 4)), "b")
     w = parameter(rng.normal(size=(2, 12)), "w")
+    v = parameter(rng.normal(size=(3, 2)), "v")
+    c = parameter(rng.normal(size=(1, 2)), "c")
     z = T.cin_layer(a, b, w)
-    h = T.relu(T.add(z, T.expand(T.reduce_sum(a, axis=1, keepdims=True), z.shape)))
+    h = T.relu(T.add(z, T.linear(a, v, c)))
     loss = T.reduce_sum(T.mul(T.sigmoid(h), h))
     intermediates = [z, h, loss]
     expected = _replayed_leaf_grads(loss)
     loss.backward()
     assert all(t.grad is None for t in intermediates)
-    for p in (a, b, w):
+    for p in (a, b, w, v, c):
         assert p.grad.tobytes() == expected[id(p)].tobytes(), p.name
 
 
@@ -248,6 +250,7 @@ def test_multi_input_ops_run_the_adjoints_of_live_inputs_only():
         "mul": (T.mul, [(1, 1), (3, 4)]),
         "div": (T.div, [(3, 4), (3, 4)]),
         "matmul": (T.matmul, [(3, 4), (4, 2)]),
+        "linear": (T.linear, [(3, 4), (4, 2), (1, 2)]),
         "bce_with_logits": (T.bce_with_logits, [(3, 1), (3, 1)]),
         "concat": (lambda *ts: T.concat(ts, axis=1), [(3, 2), (3, 1), (3, 3)]),
         "cin_layer": (T.cin_layer, [(3, 2), (3, 4), (5, 8)]),
@@ -300,8 +303,7 @@ def test_structural_ops_gradcheck():
     b = parameter(rng.normal(size=(1, 3)), "b")
 
     def loss(axis):
-        h = T.matmul(Tensor(rng_x), w)
-        h = T.add(h, T.expand(b, h.shape))
+        h = T.linear(Tensor(rng_x), w, b)
         h = T.concat([h, T.square(h)], axis=axis)
         h = T.reshape(h, (2, 3, 2))
         return T.reduce_sum(T.exp(T.mul(T.reduce_sum(h, axis=2), 0.1)))
@@ -309,6 +311,110 @@ def test_structural_ops_gradcheck():
     rng_x = rng.normal(size=(2, 4))
     for axis in (1, 0, -1):
         check_grads(lambda: loss(axis), [w, b], tol=1e-6)
+
+
+def _bytes(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _linear_chain(x, w, b, g):
+    """Value and adjoints of matmul, a broadcast of the bias row and add,
+    in the order that chain delivered them: b, then x and w."""
+    value = x @ w + np.broadcast_to(b, (x.shape[0], w.shape[1]))
+    return value, [g.sum(axis=(0,), keepdims=True), g @ w.T, x.T @ g]
+
+
+def _cross_chain(x0, x, w, b, g):
+    """Value and adjoints of the unfused cross layer: s = x @ w, broadcast,
+    mul by x0, add the broadcast bias row, add x. Adjoints in delivery
+    order: x (last add), b, x0 (mul), x and w (matmul)."""
+    s = np.broadcast_to(x @ w, x0.shape)
+    value = x0 * s + np.broadcast_to(b, x0.shape) + x
+    g_s = (g * x0).sum(axis=(1,), keepdims=True)
+    return value, [g, g.sum(axis=(0,), keepdims=True), g * s, g_s @ w.T, x.T @ g_s]
+
+
+@pytest.mark.parametrize("n,width,out", [(5, 4, 3), (1, 4, 3), (5, 1, 1), (1, 1, 1)],
+                         ids=lambda v: str(v))
+def test_linear_is_bitwise_the_matmul_broadcast_add_chain(n, width, out):
+    rng = np.random.default_rng(n * 10 + width)
+    x, w = rng.normal(size=(n, width)), rng.normal(size=(width, out))
+    b, g = rng.normal(size=(1, out)), rng.normal(size=(n, out))
+    xt, wt, bt = parameter(x), parameter(w), parameter(b)
+    y = T.linear(xt, wt, bt)
+    value, (g_b, g_x, g_w) = _linear_chain(x, w, b, g)
+    assert y.values.tobytes() == value.tobytes()
+    pairs = y._grad_fn(g)
+    assert [t for t, _ in pairs] == [xt, wt, bt]
+    assert _bytes(pg for _, pg in pairs) == _bytes([g_x, g_w, g_b])
+    with pytest.raises(ValueError):
+        T.linear(xt, wt, parameter(np.zeros((out,))))
+
+
+@pytest.mark.parametrize("n,width", [(6, 5), (1, 5), (6, 1), (1, 1)], ids=lambda v: str(v))
+def test_cross_layer_is_bitwise_the_unfused_chain(n, width):
+    rng = np.random.default_rng(n * 10 + width)
+    x0, x = rng.normal(size=(n, width)), rng.normal(size=(n, width))
+    w, b, g = rng.normal(size=(width, 1)), rng.normal(size=(1, width)), rng.normal(size=(n, width))
+    x0t, xt, wt, bt = parameter(x0), parameter(x), parameter(w), parameter(b)
+    y = T.cross_layer(x0t, xt, wt, bt)
+    value, adjoints = _cross_chain(x0, x, w, b, g)
+    assert y.values.tobytes() == value.tobytes()
+    pairs = y._grad_fn(g)
+    assert [t for t, _ in pairs] == [xt, bt, x0t, xt, wt]
+    assert _bytes(pg for _, pg in pairs) == _bytes(adjoints)
+    with pytest.raises(ValueError):
+        T.cross_layer(x0t, xt, parameter(np.zeros((width + 1, 1))), bt)
+
+
+@pytest.mark.parametrize("n,width", [(6, 5), (1, 5), (6, 1)], ids=lambda v: str(v))
+def test_stacked_cross_layers_accumulate_like_the_unfused_chain(n, width):
+    # two layers from a leaf x0: the first reads x0 as x as well, so x0's
+    # gradient sums four terms, in the order the unfused chain added them
+    rng = np.random.default_rng(n + width)
+    x0, g = rng.normal(size=(n, width)), rng.normal(size=(n, width))
+    w1, w2 = rng.normal(size=(width, 1)), rng.normal(size=(width, 1))
+    b1, b2 = rng.normal(size=(1, width)), rng.normal(size=(1, width))
+    params = [parameter(a) for a in (x0, w1, b1, w2, b2)]
+    x0t, w1t, b1t, w2t, b2t = params
+    out = T.cross_layer(x0t, T.cross_layer(x0t, x0t, w1t, b1t), w2t, b2t)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+
+    x1, _ = _cross_chain(x0, x0, w1, b1, g)
+    value, (g_x1, g_b2, g_x0, g_x1_mm, g_w2) = _cross_chain(x0, x1, w2, b2, g)
+    g1 = g_x1 + g_x1_mm
+    _, (h_x, g_b1, h_x0, h_x_mm, g_w1) = _cross_chain(x0, x0, w1, b1, g1)
+    want_x0 = ((g_x0 + h_x) + h_x0) + h_x_mm
+    assert out.values.tobytes() == value.tobytes()
+    assert _bytes(p.grad for p in params) == _bytes(
+        np.zeros_like(a) + a for a in (want_x0, g_w1, g_b1, g_w2, g_b2))
+
+
+def _scatter_cases():
+    rng = np.random.default_rng(12)
+    yield "duplicates", np.array([3, 0, 3, 3, 7]), rng.normal(size=(5, 3))
+    yield "empty", np.array([], dtype=np.int64), np.zeros((0, 3))
+    yield "d=1", np.array([2, 2, 9, 0]), rng.normal(size=(4, 1))
+    yield "negative zeros", np.array([1, 1, 4]), np.full((3, 2), -0.0)
+    mixed = rng.normal(size=(6, 2))
+    mixed[::2] = -0.0
+    yield "mixed zeros", np.array([5, 5, 2, 8, 2, 2]), mixed
+
+
+@pytest.mark.parametrize("n_rows", [10, 400], ids=["dense", "row-sparse"])
+def test_rows_gradients_are_bitwise_np_add_at(n_rows):
+    for case, idx, g in _scatter_cases():
+        table = parameter(np.ones((n_rows, g.shape[1])))
+        [(_, adjoint)] = T.rows(table, idx)._grad_fn(g)
+        expected = np.zeros((n_rows, g.shape[1]))
+        np.add.at(expected, idx, g)
+        if isinstance(adjoint, T.RowGrad):
+            assert adjoint.rows.tolist() == sorted(set(idx.tolist())), case
+            assert adjoint.values.tobytes() == expected[adjoint.rows].tobytes(), case
+            adjoint = adjoint.dense(table.values)
+        else:
+            assert n_rows == 10, case  # only the small table scatters densely
+        assert adjoint.dtype == np.float64 and adjoint.tobytes() == expected.tobytes(), case
 
 
 def test_rows_gather_and_scatter():
@@ -429,8 +535,9 @@ def test_every_primitive_against_finite_differences():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(3, 4)) + 0.1
     y = rng.normal(size=(3, 4)) + 2.0  # keeps div away from zero
-    col = rng.normal(size=(3, 1)) + 0.1
     c = parameter(rng.normal(size=(2, 16)), "c")  # weights of a 2-map CIN layer
+    bias = parameter(rng.normal(size=(1, 3)), "bias")
+    cw, cb = parameter(rng.normal(size=(4, 1)), "cw"), parameter(rng.normal(size=(1, 4)), "cb")
     cases = {
         "add": lambda a, b: T.add(a, b),
         "sub": lambda a, b: T.sub(a, b),
@@ -443,14 +550,16 @@ def test_every_primitive_against_finite_differences():
         "bce_with_logits": lambda a, b: T.bce_with_logits(a, T.sigmoid(b)),
         "matmul": lambda a, b: T.matmul(a, T.transpose(b)),
         "reduce0": lambda a, b: T.reduce_sum(a, axis=0),
-        "expand": lambda a, b: T.mul(T.expand(a, (3, 4)), b),
         "cin_layer": lambda a, b: T.cin_layer(a, b, c),
+        "linear": lambda a, b: T.linear(a, T.transpose(b), bias),
+        "cross_layer": lambda a, b: T.cross_layer(a, b, cw, cb),
+        "cross_layer_first": lambda a, b: T.cross_layer(a, a, cw, cb),
     }
     for name, build in cases.items():
-        a = parameter((col if name == "expand" else x).copy(), "a")
+        a = parameter(x.copy(), "a")
         b = parameter(y.copy(), "b")
         err = check_grads(lambda: T.mul(T.reduce_sum(T.square(build(a, b))), 0.25),
-                          [a, b, c], tol=1e-4)
+                          [a, b, c, bias, cw, cb], tol=1e-4)
         assert err < 1e-4, name
 
 
