@@ -11,17 +11,7 @@ import argparse
 import sys
 
 from . import experiment
-from .config import ConfigError, load_config
-
-
-def _parse_overrides(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+from .config import ConfigError, load_config, parse_kv
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -41,7 +31,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, _parse_overrides(args.overrides))
+        overrides = {}  # a key repeated across flags takes its last value
+        for pair in args.overrides:
+            kv = parse_kv(pair) if "=" in pair else {}
+            if len(kv) != 1:
+                raise ConfigError(f"--set expects one key=value, got {pair!r}")
+            overrides.update(kv)
+        cfg = load_config(args.config, overrides)
         if args.verb == "preprocess":
             art = experiment._run_stage("preprocess", experiment.stage_preprocess, cfg)
             print(f"encoded {len(art.train)}/{len(art.val)}/{len(art.test)} rows "

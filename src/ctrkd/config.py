@@ -10,7 +10,6 @@ one that checkpoint text sections and ``data_meta.txt`` use.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .data import RandomRatioSplit, SequentialSplit, TableSchema
 from .distill import COTRAIN, HINT, PRETRAIN, SOFT_LABEL, DistillConfig
@@ -83,6 +82,22 @@ def _strs(raw: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in raw.split(",") if x.strip() != "")
 
 
+def _seeds(raw: str) -> tuple[int, ...]:
+    seeds = _ints(raw)
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError("expected one or more distinct non-negative seeds")
+    return seeds
+
+
+def _build(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ValueError becomes a ConfigError
+    whose message starts with ``prefix``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{prefix}{err}") from None
+
+
 def _span(raw: str) -> tuple[int, ...]:
     """Column ranges: "1-13" or "2,5,7" or "" (empty)."""
     out: list[int] = []
@@ -138,7 +153,7 @@ KEYS: dict[str, tuple] = {
     "train.max_epochs": (int, "100"),
     "train.patience": (int, "3"),
     "train.l2_embedding": (float, "0.0"),
-    "train.seeds": (_ints, "1"),
+    "train.seeds": (_seeds, "1"),
     "train.kd_monitor_rows": (int, "8192"),
     "train.teacher_seed": (int, "100"),
     # ensemble generation; without ensemble.mode the teacher stage is mode M
@@ -189,7 +204,9 @@ FORMAT_RECIPES: dict[str, dict[str, str]] = {
 
 
 class ExperimentConfig:
-    """Parsed, validated configuration with typed accessors."""
+    """Parsed, validated configuration. The objects a run needs are built
+    once, here: ``schema``, ``split``, ``hyper``, ``distill``,
+    ``student_spec`` and ``teachers``, a list of (name, spec, seed)."""
 
     def __init__(self, raw: dict[str, str], base_dir: str = "."):
         merged = {key: default for key, (_, default) in KEYS.items()
@@ -207,38 +224,72 @@ class ExperimentConfig:
                 self.values[key] = KEYS[key][0](text)
             except ValueError as err:
                 raise ConfigError(f"bad value for {key}: {text!r} ({err})") from None
+        self.schema = _build("", TableSchema, self["data.label_column"],
+                             self["data.numeric_columns"], self["data.categorical_columns"],
+                             delimiter={"tab": "\t", "comma": ","}[self["data.delimiter"]])
+        if self["data.split"] == "random":
+            self.split = _build("", RandomRatioSplit, self["data.split_ratios"],
+                                self["data.split_seed"])
+        elif None in (self.get("data.day_column"), self.get("data.train_days")):
+            raise ConfigError("sequential split needs data.day_column and data.train_days")
+        else:
+            self.split = _build("", SequentialSplit, self["data.day_column"],
+                                self["data.train_days"])
+        # a TrainHyper message starts with the field name
+        self.hyper = _build("train.", TrainHyper, **{
+            field: self[f"train.{field}"] for field in
+            ("lr", "batch_size", "max_epochs", "patience", "l2_embedding", "kd_monitor_rows")})
+        self.distill = _build("", DistillConfig, **{
+            field: self[f"distill.{field}"] for field in
+            ("method", "tau", "beta", "gamma", "gating")})
+        self.student_spec = self._spec("student", self["student.model"])
+        self.teachers = self._teachers()
         self._validate()
 
+    def _spec(self, side: str, preset: str) -> ModelSpec:
+        """``preset`` built with the ``side``'s shape keys."""
+        return _build(f"bad {side} model: ", spec_from_preset, preset, **{
+            field: self[f"{side}.{field}"] for field in
+            ("embedding_dim", "hidden", "dropout", "cross_layers", "cin_maps")})
+
+    def _teachers(self) -> list[tuple[str, ModelSpec, int]]:
+        """(name, spec, seed) of each teacher the teacher stage trains: mode
+        M names them ``<preset>``, or ``<preset>-s<seed>`` with several seeds;
+        mode D names partition i ``<teacher.model>-p<i>``."""
+        base_seed = self["train.teacher_seed"]
+        if self.get("ensemble.mode") == "D":
+            preset = self["teacher.model"]
+            runs = [(f"{preset}-p{i}", preset, base_seed + i)
+                    for i in range(self["ensemble.partitions"])]
+        else:
+            seeds = self.get("ensemble.seeds") or (base_seed,)
+            runs = [(preset if len(seeds) == 1 else f"{preset}-s{seed}", preset, seed)
+                    for preset in self.get("ensemble.teachers") or (self["teacher.model"],)
+                    for seed in seeds]
+        return [(name, self._spec("teacher", preset), seed) for name, preset, seed in runs]
+
     def _validate(self):
-        if any(s < 0 for s in self["train.seeds"]):
-            raise ConfigError("seeds must be non-negative")
-        self.split_strategy()
-        self.train_hyper()
-        dcfg = self.distill_config()  # surfaces weight/temperature violations early
-        if (self["distill.scheme"] == PRETRAIN and dcfg.method == HINT
-                and dcfg.beta == 0.0 and self["distill.stop"] == "kd_loss"):
+        """The rules that span several keys."""
+        if (self["distill.scheme"] == PRETRAIN and self.distill.method == HINT
+                and self.distill.beta == 0.0 and self["distill.stop"] == "kd_loss"):
             raise ConfigError("hint distillation with distill.beta = 0 has no KD loss "
                               "to stop on; set distill.stop = val_auc")
-        for side, preset in [("teacher", None), ("student", None),
-                             *(("teacher", p) for p in self.get("ensemble.teachers") or ())]:
-            try:
-                self.model_spec(side, preset)
-            except ValueError as err:
-                raise ConfigError(f"bad {side} model: {err}") from None
         baseline = self["report.baseline"]
         if baseline == PLAIN_STUDENT and not self["report.include_plain_student"]:
             raise ConfigError("report.baseline = student_plain needs "
                               "report.include_plain_student = true")
         if self.get("ensemble.mode") == "D" and self["ensemble.partitions"] < 2:
             raise ConfigError("ensemble.mode = D needs ensemble.partitions >= 2")
-        teachers = self.teacher_runs()
-        names = [name for name, _, _ in teachers]
+        names = [name for name, _, _ in self.teachers]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ConfigError(f"teacher name {', '.join(repeated)} is listed more than "
                               "once; list each ensemble preset and seed once")
+        if self["distill.scheme"] == COTRAIN and len(names) != 1:
+            raise ConfigError("distill.scheme = cotrain needs exactly one teacher; "
+                              f"this config trains {len(names)}")
         reported = [f"teacher/{name}" for name in names]
-        if len(teachers) >= 2:
+        if len(names) >= 2:
             reported.append(TEACHERS_AVG)
         reported.append(KD_STUDENT)
         if self["report.include_plain_student"]:
@@ -254,81 +305,9 @@ class ExperimentConfig:
         """The value of a key without a default, or None when it is not set."""
         return self.values.get(key)
 
-    # -- domain object builders -------------------------------------------
     def resolve_path(self, key: str) -> str:
         path = str(self[key])
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
-
-    def table_schema(self) -> TableSchema:
-        delim = {"tab": "\t", "comma": ","}[self["data.delimiter"]]
-        try:
-            return TableSchema(self["data.label_column"], self["data.numeric_columns"],
-                               self["data.categorical_columns"], delimiter=delim)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-    def split_strategy(self):
-        if self["data.split"] == "sequential" and (
-                "data.day_column" not in self.values or "data.train_days" not in self.values):
-            raise ConfigError("sequential split needs data.day_column and data.train_days")
-        try:
-            if self["data.split"] == "random":
-                return RandomRatioSplit(tuple(self["data.split_ratios"]),
-                                        self["data.split_seed"])
-            return SequentialSplit(self["data.day_column"], self["data.train_days"])
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-    def model_spec(self, side: str, preset: str | None = None) -> ModelSpec:
-        """The ``side``'s model, or ``preset`` built with the ``side``'s shape keys."""
-        return spec_from_preset(
-            preset or self[f"{side}.model"],
-            embedding_dim=self[f"{side}.embedding_dim"],
-            hidden=self[f"{side}.hidden"],
-            dropout=self[f"{side}.dropout"],
-            cross_layers=self[f"{side}.cross_layers"],
-            cin_maps=self[f"{side}.cin_maps"])
-
-    def teacher_runs(self) -> list[tuple[str, str, int]]:
-        """(name, preset, seed) of each teacher the teacher stage trains: mode
-        M names them ``<preset>``, or ``<preset>-s<seed>`` with several seeds;
-        mode D names partition i ``<teacher.model>-p<i>``."""
-        base_seed = self["train.teacher_seed"]
-        if self.get("ensemble.mode") == "D":
-            preset = self["teacher.model"]
-            return [(f"{preset}-p{i}", preset, base_seed + i)
-                    for i in range(self["ensemble.partitions"])]
-        seeds = self.get("ensemble.seeds") or (base_seed,)
-        return [(preset if len(seeds) == 1 else f"{preset}-s{seed}", preset, seed)
-                for preset in self.get("ensemble.teachers") or (self["teacher.model"],)
-                for seed in seeds]
-
-    def distill_config(self) -> DistillConfig:
-        try:
-            return DistillConfig(
-                method=self["distill.method"],
-                tau=self["distill.tau"],
-                beta=self["distill.beta"],
-                gamma=self["distill.gamma"],
-                gating=self["distill.gating"])
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-    def train_hyper(self) -> TrainHyper:
-        try:
-            return TrainHyper(
-                lr=self["train.lr"],
-                batch_size=self["train.batch_size"],
-                max_epochs=self["train.max_epochs"],
-                patience=self["train.patience"],
-                l2_embedding=self["train.l2_embedding"],
-                kd_monitor_rows=self["train.kd_monitor_rows"])
-        except ValueError as err:  # the message starts with the field name
-            raise ConfigError(f"train.{err}") from None
-
-    @property
-    def seeds(self) -> tuple[int, ...]:
-        return self["train.seeds"]
 
     @property
     def output_dir(self) -> str:

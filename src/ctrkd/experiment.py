@@ -70,16 +70,15 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
     """Read raw rows, split, build the vocabulary on train only, encode."""
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    schema = cfg.table_schema()
-    rows = read_rows(cfg.resolve_path("data.path"), schema.delimiter)
-    train_rows, val_rows, test_rows = split_rows(rows, cfg.split_strategy())
-    vocab = FeatureVocabulary.build(train_rows, schema, cfg["data.min_count"])
+    rows = read_rows(cfg.resolve_path("data.path"), cfg.schema.delimiter)
+    train_rows, val_rows, test_rows = split_rows(rows, cfg.split)
+    vocab = FeatureVocabulary.build(train_rows, cfg.schema, cfg["data.min_count"])
     vocab.save(os.path.join(outdir, "vocab.tsv"))
-    datasets = [encode_rows(part, schema, vocab)
+    datasets = [encode_rows(part, cfg.schema, vocab)
                 for part in (train_rows, val_rows, test_rows)]
     for name, ds in zip(("train", "val", "test"), datasets):
         ds.save_npz(os.path.join(outdir, f"{name}.npz"))
-    dims = FieldDims(vocab.sizes(), len(schema.numeric_columns))
+    dims = FieldDims(vocab.sizes(), len(cfg.schema.numeric_columns))
     fingerprint = vocab.fingerprint()
     meta = [*dims.to_kv().items(), ("fingerprint", fingerprint),
             ("rows_train", len(datasets[0])), ("rows_val", len(datasets[1])),
@@ -128,7 +127,7 @@ def _train_and_save(cfg: ExperimentConfig, art: DataArtifacts, directory: str,
                     name: str, label: str, spec, seed: int, train_ds, val_ds) -> dict:
     """Train a fresh model on BCE with validation-AUC stopping, then save it."""
     model = Model(spec, art.dims, seed=seed)
-    record = train_teacher(model, train_ds, cfg.train_hyper(), seed=seed, val_data=val_ds)
+    record = train_teacher(model, train_ds, cfg.hyper, seed=seed, val_data=val_ds)
     return _save_trained(directory, name, label, model, seed, record, art.fingerprint)
 
 
@@ -138,11 +137,10 @@ def make_ensemble(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
     (same test set)."""
     directory = _teacher_dir(cfg.output_dir)
     os.makedirs(directory, exist_ok=True)
-    teachers = cfg.teacher_runs()
     partitioned = cfg.get("ensemble.mode") == "D"
     pool = EncodedDataset.concatenate([art.train, art.val]) if partitioned else None
     entries = []
-    for i, (name, preset, seed) in enumerate(teachers):
+    for i, (name, spec, seed) in enumerate(cfg.teachers):
         train_ds, val_ds = art.train, art.val
         if partitioned:
             # fresh random split of the train+val pool at the original sizes;
@@ -155,8 +153,7 @@ def make_ensemble(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
                      train=train_idx, val=val_idx)
             train_ds, val_ds = pool.subset(train_idx), pool.subset(val_idx)
         entries.append(_train_and_save(cfg, art, directory, name, f"teacher/{name}",
-                                       cfg.model_spec("teacher", preset), seed,
-                                       train_ds, val_ds))
+                                       spec, seed, train_ds, val_ds))
     return entries
 
 
@@ -192,9 +189,8 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
     missing = [ckpt for ckpt in ckpts if not os.path.exists(ckpt)]
     if missing:
         raise FileNotFoundError(f"missing teacher checkpoints: {missing}")
-    dcfg = cfg.distill_config()
     scheme = cfg["distill.scheme"]
-    if scheme == COTRAIN and len(ckpts) != 1:
+    if scheme == COTRAIN and len(ckpts) != 1:  # teachers_meta.csv may predate cfg
         raise ValueError("co-train supports exactly one teacher")
     teachers = [persist.load(ckpt).build_model(expected_fingerprint=art.fingerprint)
                 for ckpt in ckpts]
@@ -204,25 +200,24 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
         stop_mode, kd_val = KD_LOSS_MIN, None
         if scheme == PRETRAIN and cfg["distill.merge_val"]:
             kd_train = EncodedDataset.concatenate([art.train, art.val])
-    hyper = cfg.train_hyper()
-    student_spec = cfg.model_spec("student")
     directory = _student_dir(outdir)
     os.makedirs(directory, exist_ok=True)
     rows = []
-    for seed in cfg.seeds:
+    for seed in cfg["train.seeds"]:
         if cfg["report.include_plain_student"]:
             rows.append(_train_and_save(cfg, art, directory, f"{PLAIN_STUDENT}-s{seed}",
-                                        PLAIN_STUDENT, student_spec, seed,
+                                        PLAIN_STUDENT, cfg.student_spec, seed,
                                         art.train, art.val))
-        student = Model(student_spec, art.dims, seed=seed)
+        student = Model(cfg.student_spec, art.dims, seed=seed)
         extras = {}
         if scheme == COTRAIN:
             co_teacher = Model(teachers[0].spec, art.dims, seed=cfg["train.teacher_seed"])
-            _, record = train_student_cotrain(co_teacher, student, dcfg, art.train,
-                                              hyper, seed=seed)
+            _, record = train_student_cotrain(co_teacher, student, cfg.distill, art.train,
+                                              cfg.hyper, seed=seed)
         else:
-            result = train_student_pretrain(student, teachers, dcfg, kd_train, hyper,
-                                            seed=seed, val_data=kd_val, stop_mode=stop_mode)
+            result = train_student_pretrain(student, teachers, cfg.distill, kd_train,
+                                            cfg.hyper, seed=seed, val_data=kd_val,
+                                            stop_mode=stop_mode)
             record = result.record
             for part in [result.gate, *(result.projectors or [])]:
                 if part is not None:

@@ -29,6 +29,11 @@ class SyntheticSpec:
     zipf_exponent: float = 1.2
 
 
+# rows per block of the pairwise term, so no (rows, fields, latent) array
+# spans the whole draw
+_BLOCK_ROWS = 4096
+
+
 def _token_probs(spec: SyntheticSpec) -> np.ndarray:
     ranks = np.arange(1, spec.vocab + 1, dtype=np.float64)
     p = ranks ** -spec.zipf_exponent
@@ -46,9 +51,11 @@ def _draw(spec: SyntheticSpec, n: int, seed: int):
     raw_num = np.round(rng.lognormal(mean=1.0, sigma=1.0, size=(n, spec.n_num)), 3)
 
     logit = np.full(n, spec.bias)
-    vecs = np.stack([u[f, tokens[:, f]] for f in range(spec.n_cat)], axis=1)  # n,F,k
-    total = vecs.sum(axis=1)
-    logit += 0.5 * (np.square(total).sum(axis=1) - np.square(vecs).sum(axis=(1, 2)))
+    for lo in range(0, n, _BLOCK_ROWS):  # rows are independent: any block size, same bits
+        block = tokens[lo:lo + _BLOCK_ROWS]
+        vecs = np.stack([u[f, block[:, f]] for f in range(spec.n_cat)], axis=1)  # rows,F,k
+        logit[lo:lo + _BLOCK_ROWS] += 0.5 * (np.square(vecs.sum(axis=1)).sum(axis=1)
+                                             - np.square(vecs).sum(axis=(1, 2)))
     for f in range(spec.n_cat):
         logit += w[f, tokens[:, f]]
     z = transform_numeric(raw_num)

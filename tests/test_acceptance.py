@@ -355,7 +355,7 @@ def test_pipeline_fidelity_against_scripted_oracle(tmp_path):
     fixture = tmp_path / "criteo_fixture.txt"
     spec = SyntheticSpec(n_cat=26, vocab=60, n_num=13, latent_dim=2)
     write_synthetic_file(fixture, 10_000, seed=42, spec=spec)
-    schema = parse_config_text("data.format = criteo\n").table_schema()
+    schema = parse_config_text("data.format = criteo\n").schema
     from ctrkd.data import read_rows
     rows = read_rows(fixture, "\t")
     assert len(rows) == 10_000

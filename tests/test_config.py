@@ -4,6 +4,7 @@ from ctrkd import cli
 from ctrkd.config import (ConfigError, ExperimentConfig, format_kv, load_config,
                           parse_config_text, parse_kv)
 from ctrkd.data import RandomRatioSplit, SequentialSplit
+from ctrkd.synth import write_synthetic_file
 
 
 MINIMAL = """
@@ -21,7 +22,7 @@ def test_parse_minimal_with_defaults():
     assert cfg["train.batch_size"] == 2000
     assert cfg["train.lr"] == 0.001
     assert cfg["distill.scheme"] == "pretrain"
-    schema = cfg.table_schema()
+    schema = cfg.schema
     assert len(schema.numeric_columns) == 2
     assert len(schema.categorical_fields) == 6
 
@@ -78,12 +79,12 @@ def test_distill_weights_validated_at_parse_time():
 
 def test_split_strategies():
     cfg = parse_config_text(MINIMAL)
-    assert cfg.split_strategy() == RandomRatioSplit((0.8, 0.1, 0.1), 2020)
+    assert cfg.split == RandomRatioSplit((0.8, 0.1, 0.1), 2020)
     cfg = parse_config_text(MINIMAL + "\ndata.split = sequential\n"
                             "data.day_column = 9\ndata.train_days = 7\n")
-    assert cfg.split_strategy() == SequentialSplit(9, 7)
+    assert cfg.split == SequentialSplit(9, 7)
     with pytest.raises(ConfigError):
-        parse_config_text(MINIMAL + "\ndata.split = sequential\n").split_strategy()
+        parse_config_text(MINIMAL + "\ndata.split = sequential\n")
 
 
 @pytest.mark.parametrize("split", ["data.split_ratios = 0.5,0.5,0.5",
@@ -105,15 +106,16 @@ def test_bad_split_settings_fail_at_parse_time(tmp_path, split):
 def test_model_specs_from_config():
     cfg = parse_config_text(MINIMAL + "\nteacher.model = dcn\nteacher.cross_layers = 4\n"
                             "student.hidden = 32,16\n")
-    teacher = cfg.model_spec("teacher")
+    [(name, teacher, seed)] = cfg.teachers
+    assert (name, seed) == ("dcn", 100)
     assert teacher.wide == "cross" and teacher.cross_layers == 4
-    student = cfg.model_spec("student")
+    student = cfg.student_spec
     assert student.deep == (32, 16) and student.wide == "none"
 
 
 def test_criteo_recipe_defaults():
     cfg = parse_config_text("data.path = x\ndata.format = criteo\noutput.dir = o\n")
-    schema = cfg.table_schema()
+    schema = cfg.schema
     assert len(schema.numeric_columns) == 13
     assert len(schema.categorical_fields) == 26
     assert schema.delimiter == "\t"
@@ -125,7 +127,7 @@ def test_criteo_recipe_defaults():
 
 def test_avazu_recipe_defaults():
     cfg = parse_config_text("data.path = x\ndata.format = avazu\noutput.dir = o\n")
-    schema = cfg.table_schema()
+    schema = cfg.schema
     assert len(schema.categorical_fields) == 22
     assert len(schema.numeric_columns) == 0
     assert schema.delimiter == ","
@@ -230,3 +232,54 @@ def test_repeated_teacher_names_rejected():
                         ("ensemble.teachers = fm\nensemble.seeds = 3,4,3", "fm-s3")]:
         with pytest.raises(ConfigError, match=f"teacher name {name} is listed more than once"):
             parse_config_text(MINIMAL + f"\nensemble.mode = M\n{extra}\n")
+
+
+# (config lines added to MINIMAL, --set flags, a fragment of the error)
+PARSE_TIME_REFUSALS = {
+    "no-equals-sign": ("no equals sign", [], "expected 'key = value'"),
+    "unknown-key": ("train.warp_speed = 9", [], "unknown config key"),
+    "duplicate-key": ("data.path = twice.txt", [], "duplicate key"),
+    "bad-number": ("train.batch_size = many", [], "bad value for train.batch_size"),
+    "bad-choice": ("distill.scheme = online", [], "expected one of"),
+    "negative-column": ("data.label_column = -1", [], "bad value for data.label_column"),
+    "label-is-feature": ("data.label_column = 3", [], "label column cannot also be"),
+    "column-gap": ("", ["--set", "data.categorical_columns=4-9"], "must be contiguous"),
+    "no-feature-columns": ("", ["--set", "data.numeric_columns=",
+                                "--set", "data.categorical_columns="], "no feature columns"),
+    "repeated-seed": ("train.seeds = 1,1", [], "bad value for train.seeds"),
+    "no-seed": ("train.seeds =", [], "bad value for train.seeds"),
+    "cotrain-two-teachers": ("distill.scheme = cotrain\nensemble.mode = M\n"
+                             "ensemble.teachers = fm,lr", [], "exactly one teacher"),
+    "train-setting": ("train.lr = -0.01", [], "train.lr must be"),
+    "distill-weights": ("distill.beta = 0.9\ndistill.gamma = 0.9", [], "beta + gamma = 1"),
+    "split-ratios": ("data.split_ratios = 0.5,0.5,0.5", [], "split ratios"),
+    "sequential-no-day": ("data.split = sequential", [], "needs data.day_column"),
+    "model-shape": ("student.dropout = 1.5", [], "bad student model"),
+    "unknown-preset": ("ensemble.mode = M\nensemble.teachers = fm,tabnet", [],
+                       "bad teacher model"),
+    "hint-beta-zero": ("distill.method = hint\ndistill.beta = 0\ndistill.gamma = 1", [],
+                       "distill.stop = val_auc"),
+    "plain-baseline": ("report.include_plain_student = false", [],
+                       "report.include_plain_student = true"),
+    "one-partition": ("ensemble.mode = D\nensemble.partitions = 1", [], "partitions >= 2"),
+    "repeated-teacher": ("ensemble.mode = M\nensemble.teachers = fm,fm", [],
+                         "listed more than once"),
+    "unreported-baseline": ("report.baseline = teacher/dcn", [], "not a model this run"),
+    "set-bad-value": ("", ["--set", "data.format=parquet"], "expected one of"),
+    "set-no-equals": ("", ["--set", "train.lr"], "--set expects one key=value"),
+    "set-empty": ("", ["--set", ""], "--set expects one key=value"),
+    "set-two-pairs": ("", ["--set", "train.lr=0.1\ntrain.seeds=2"],
+                      "--set expects one key=value"),
+}
+
+
+@pytest.mark.parametrize("lines, flags, error", PARSE_TIME_REFUSALS.values(),
+                         ids=PARSE_TIME_REFUSALS.keys())
+def test_cli_run_refuses_at_parse_time(tmp_path, capsys, lines, flags, error):
+    write_synthetic_file(tmp_path / "data.txt", 200, seed=1)
+    path = tmp_path / "exp.cfg"
+    path.write_text(MINIMAL + "train.max_epochs = 1\n" + lines + "\n")
+    assert cli.main(["run", "-c", str(path), *flags]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+

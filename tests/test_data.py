@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrkd import data as D
+from ctrkd import synth
 from ctrkd.config import parse_config_text
 
 
@@ -165,7 +167,7 @@ def test_encode_rows_of_zero_rows_keeps_column_shapes():
 
 def test_columns_listed_out_of_order_follow_column_order():
     schema = parse_config_text("data.numeric_columns = 2,1\n"
-                               "data.categorical_columns = 5,3,6,4\n").table_schema()
+                               "data.categorical_columns = 5,3,6,4\n").schema
     # label, numerics in columns 1-2, categoricals in columns 3-6
     rows = [["1", "3.0", "0.5", "a", "b", "a", "c"],
             ["0", "", "9.0", "b", "a", "a", "b"],
@@ -296,3 +298,23 @@ def test_read_rows_plain_and_gzip(tmp_path):
     r2 = D.read_rows(zipped)
     assert r1 == r2
     assert r1[1] == ["1", "", "b", "z"]
+
+
+def test_synthetic_draw_never_holds_a_whole_rows_fields_latent_array():
+    spec = synth.SyntheticSpec(n_cat=26, vocab=50, latent_dim=8)
+    n = 30_000
+    tracemalloc.start()
+    try:
+        synth._draw(spec, n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * spec.n_cat * spec.latent_dim * 8
+
+
+def test_synthetic_draw_is_bitwise_the_same_in_any_block_size(monkeypatch):
+    spec = synth.SyntheticSpec(n_cat=5, vocab=30, latent_dim=3)
+    whole = synth._draw(spec, 1000, seed=11)
+    monkeypatch.setattr(synth, "_BLOCK_ROWS", 7)
+    for a, b in zip(whole, synth._draw(spec, 1000, seed=11)):
+        assert a.tobytes() == b.tobytes()

@@ -231,10 +231,10 @@ def test_kd_student_checkpoint_keeps_the_trained_extras(tmp_path, overrides, pre
     teachers = [persist.load(row["ckpt"]).build_model()
                 for row in experiment._read_meta(experiment._teacher_meta_path(outdir))]
     # the distill stage's pretrain run, repeated: KD-loss stop on merged train+val
-    student = Model(cfg.model_spec("student"), art.dims, seed=1)
-    result = train_student_pretrain(student, teachers, cfg.distill_config(),
+    student = Model(cfg.student_spec, art.dims, seed=1)
+    result = train_student_pretrain(student, teachers, cfg.distill,
                                     EncodedDataset.concatenate([art.train, art.val]),
-                                    cfg.train_hyper(), seed=1, stop_mode=KD_LOSS_MIN)
+                                    cfg.hyper, seed=1, stop_mode=KD_LOSS_MIN)
     trained = [p for part in [result.gate, *(result.projectors or [])] if part is not None
                for p in part.parameters()]
     ckpt = persist.load(os.path.join(outdir, "students", "student_kd-s1.ckpt"))
@@ -256,10 +256,13 @@ def test_cotrain_scheme_through_pipeline(tmp_path):
 
 
 def test_cotrain_with_two_teachers_fails_before_any_student_is_trained(tmp_path):
-    cfg = load_cfg(tiny_config(tmp_path, extra=(
-        "distill.scheme = cotrain\nensemble.mode = M\nensemble.teachers = fm,lr\n")))
-    experiment.stage_preprocess(cfg)
-    experiment.stage_teachers_from_disk(cfg)
+    # parse time refuses a cotrain config with two teachers, so the two come
+    # from a pretrain config that wrote the same output directory first
+    pretrain = load_cfg(tiny_config(tmp_path, extra=(
+        "ensemble.mode = M\nensemble.teachers = fm,lr\n")))
+    experiment.stage_preprocess(pretrain)
+    experiment.stage_teachers_from_disk(pretrain)
+    cfg = load_cfg(tiny_config(tmp_path, extra="distill.scheme = cotrain\n"))
     with pytest.raises(experiment.StageError, match="exactly one teacher"):
         experiment._run_stage("distill", experiment.stage_distill, cfg)
     students = experiment._student_dir(cfg.output_dir)
@@ -277,7 +280,9 @@ def test_cli_full_cycle(tmp_path, capsys):
 
 def test_cli_run_and_overrides(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
-    assert cli.main(["run", "-c", str(cfg_path), "--set", "train.seeds=4"]) == 0
+    # a key repeated across --set flags takes its last value
+    assert cli.main(["run", "-c", str(cfg_path), "--set", "train.seeds=1,1",
+                     "--set", " train.seeds = 4 "]) == 0
     meta = experiment._read_meta(str(tmp_path / "out" / "students_meta.csv"))
     assert {int(r["seed"]) for r in meta} == {4}
 
