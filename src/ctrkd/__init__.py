@@ -5,7 +5,7 @@ from .data import (Batch, EncodedDataset, FeatureVocabulary, RandomRatioSplit,
                    split_rows, transform_numeric)
 from .distill import (DistillConfig, HintProjector, TeacherGate, bce_loss,
                       cross_entropy, ensemble_teacher_logit, gate_weights,
-                      hint_loss, soft_label_loss, student_loss, uniform_weights)
+                      hint_loss, soft_label_loss, student_loss)
 from .metrics import MetricError, auc, logloss
 from .models import FieldDims, Model, ModelSpec, spec_from_preset
 from .tensor import Tensor, parameter
@@ -24,6 +24,5 @@ __all__ = [
     "ensemble_teacher_logit", "evaluate_model", "gate_weights", "hint_loss",
     "logloss", "parameter", "predict_dataset", "read_rows", "soft_label_loss",
     "spec_from_preset", "split_rows", "student_loss", "train_student_cotrain",
-    "train_student_pretrain", "train_teacher", "transform_numeric",
-    "uniform_weights", "__version__",
+    "train_student_pretrain", "train_teacher", "transform_numeric", "__version__",
 ]

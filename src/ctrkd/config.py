@@ -67,10 +67,10 @@ def _choice(*allowed: str):
     return parse
 
 
-def _column(raw: str) -> int:
+def _non_negative(raw: str) -> int:
     value = int(raw)
     if value < 0:
-        raise ValueError("expected a non-negative column number")
+        raise ValueError("expected a non-negative integer")
     return value
 
 
@@ -82,9 +82,13 @@ def _strs(raw: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in raw.split(",") if x.strip() != "")
 
 
+def _non_negatives(raw: str) -> tuple[int, ...]:
+    return tuple(_non_negative(x) for x in _strs(raw))
+
+
 def _seeds(raw: str) -> tuple[int, ...]:
-    seeds = _ints(raw)
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+    seeds = _non_negatives(raw)
+    if not seeds or len(set(seeds)) < len(seeds):
         raise ValueError("expected one or more distinct non-negative seeds")
     return seeds
 
@@ -129,14 +133,14 @@ KEYS: dict[str, tuple] = {
     "data.path": (str, None),
     "data.format": (_choice("generic", "criteo", "avazu"), "generic"),
     "data.delimiter": (_choice("tab", "comma"), "tab"),
-    "data.label_column": (_column, "0"),
+    "data.label_column": (_non_negative, "0"),
     "data.numeric_columns": (_span, ""),
     "data.categorical_columns": (_span, ""),
     "data.min_count": (int, "10"),
     "data.split": (_choice("random", "sequential"), "random"),
     "data.split_ratios": (_floats, "0.8,0.1,0.1"),
-    "data.split_seed": (int, "2020"),
-    "data.day_column": (_column, None),
+    "data.split_seed": (_non_negative, "2020"),
+    "data.day_column": (_non_negative, None),
     "data.train_days": (int, None),
     # distillation
     "distill.method": (_choice(SOFT_LABEL, HINT), SOFT_LABEL),
@@ -155,14 +159,14 @@ KEYS: dict[str, tuple] = {
     "train.l2_embedding": (float, "0.0"),
     "train.seeds": (_seeds, "1"),
     "train.kd_monitor_rows": (int, "8192"),
-    "train.teacher_seed": (int, "100"),
+    "train.teacher_seed": (_non_negative, "100"),
     # ensemble generation; without ensemble.mode the teacher stage is mode M
     # over teacher.model and train.teacher_seed
     "ensemble.mode": (_choice("M", "D"), None),
     "ensemble.teachers": (_strs, None),
-    "ensemble.seeds": (_ints, None),
+    "ensemble.seeds": (_non_negatives, None),
     "ensemble.partitions": (int, "0"),
-    "ensemble.partition_seed": (int, "7"),
+    "ensemble.partition_seed": (_non_negative, "7"),
     # reporting
     "report.baseline": (str, "student_plain"),
     "report.include_plain_student": (_bool, "true"),

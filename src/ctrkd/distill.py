@@ -132,10 +132,6 @@ class TeacherGate:
         self.w = [T.parameter(np.ones((1, 1)), name=f"gate.w.{i}") for i in range(n_teachers)]
         self.b = [T.parameter(np.zeros((1, 1)), name=f"gate.b.{i}") for i in range(n_teachers)]
 
-    @property
-    def n_teachers(self) -> int:
-        return len(self.w)
-
     def parameters(self) -> list[Tensor]:
         return list(self.w) + list(self.b)
 
@@ -146,8 +142,8 @@ def gate_weights(teacher_logits: list, gate: TeacherGate) -> list[Tensor]:
     alpha_i = exp(w_i z_i + b_i) / sum_j exp(w_j z_j + b_j), computed with
     the row max subtracted first so the exponentials stay bounded.
     """
-    if len(teacher_logits) != gate.n_teachers:
-        raise ValueError(f"{len(teacher_logits)} logit columns for {gate.n_teachers} teachers")
+    if len(teacher_logits) != len(gate.w):
+        raise ValueError(f"{len(teacher_logits)} logit columns for {len(gate.w)} teachers")
     logits = [T.as_tensor(z) for z in teacher_logits]
     scores = [T.add(T.mul(z, w), b) for z, w, b in zip(logits, gate.w, gate.b)]
     row_max = np.max(np.concatenate([s.values for s in scores], axis=1),
@@ -159,17 +155,8 @@ def gate_weights(teacher_logits: list, gate: TeacherGate) -> list[Tensor]:
     return [T.div(e, denom) for e in exps]
 
 
-def uniform_weights(teacher_logits: list) -> list[Tensor]:
-    """Gating disabled: constant alpha_i = 1/M."""
-    m = len(teacher_logits)
-    if m < 1:
-        raise ValueError("need at least one teacher")
-    batch = T.as_tensor(teacher_logits[0]).shape[0]
-    return [Tensor(np.full((batch, 1), 1.0 / m)) for _ in teacher_logits]
-
-
-def ensemble_teacher_logit(teacher_logits: list, alphas: list[Tensor]) -> Tensor:
-    """Convex combination sum_i alpha_i z_i in logit space."""
+def ensemble_teacher_logit(teacher_logits: list, alphas: list) -> Tensor:
+    """Convex combination sum_i alpha_i z_i in logit space (alpha_i a tensor or a float)."""
     if len(teacher_logits) != len(alphas):
         raise ValueError("teacher logits and weights must have the same length")
     if not teacher_logits:

@@ -31,7 +31,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 def _run_stage(stage: str, fn, *args):
@@ -71,11 +70,14 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     rows = read_rows(cfg.resolve_path("data.path"), cfg.schema.delimiter)
-    train_rows, val_rows, test_rows = split_rows(rows, cfg.split)
-    vocab = FeatureVocabulary.build(train_rows, cfg.schema, cfg["data.min_count"])
+    parts = split_rows(rows, cfg.split)
+    for name, part in zip(("train", "val", "test"), parts):
+        if not part:
+            raise ValueError(f"the {name} split has 0 of {len(rows)} rows; "
+                             "every split needs at least one row")
+    vocab = FeatureVocabulary.build(parts[0], cfg.schema, cfg["data.min_count"])
     vocab.save(os.path.join(outdir, "vocab.tsv"))
-    datasets = [encode_rows(part, cfg.schema, vocab)
-                for part in (train_rows, val_rows, test_rows)]
+    datasets = [encode_rows(part, cfg.schema, vocab) for part in parts]
     for name, ds in zip(("train", "val", "test"), datasets):
         ds.save_npz(os.path.join(outdir, f"{name}.npz"))
     dims = FieldDims(vocab.sizes(), len(cfg.schema.numeric_columns))

@@ -199,11 +199,12 @@ class Model:
                 self.numeric_proj.append(self._param(
                     f"numproj.{j}", rng.normal(0.0, EMBED_INIT_STD, size=(1, d))))
 
-        self._n_fields = n_cat + (len(self.numeric_proj) if spec.wide in ("fm", "cin") else 0)
         concat_dim = n_cat * d + dims.n_numeric
 
+        # each part sets hint_dim, the width of its hint; the deep part is last
         if spec.wide in ("lr", "fm"):
             prefix = spec.wide
+            self.hint_dim = 1 if prefix == "lr" else d  # lr: the logit itself
             self.linear_cat = [self._param(f"{prefix}.cat.{i}", np.zeros((v, 1)))
                                for i, v in enumerate(dims.vocab_sizes)]
             self.linear_num = (self._param(f"{prefix}.num", np.zeros((dims.n_numeric, 1)))
@@ -220,9 +221,10 @@ class Model:
             self.cross_head_w = self._param(
                 "cross.head.w", _xavier(rng, concat_dim, 1, (concat_dim, 1)))
             self.cross_head_b = self._param("cross.head.b", np.zeros((1, 1)))
+            self.hint_dim = concat_dim
 
         if spec.wide == "cin":
-            m = self._n_fields
+            m = n_cat + len(self.numeric_proj)
             self.cin_w = []
             prev = m
             for k, h in enumerate(spec.cin_maps):
@@ -234,6 +236,7 @@ class Model:
             total = sum(spec.cin_maps)
             self.cin_head_w = self._param("cin.head.w", _xavier(rng, total, 1, (total, 1)))
             self.cin_head_b = self._param("cin.head.b", np.zeros((1, 1)))
+            self.hint_dim = total
 
         if spec.deep:
             self.mlp = []
@@ -245,6 +248,7 @@ class Model:
                 fan_in = h
             self.mlp_head_w = self._param("mlp.head.w", _xavier(rng, fan_in, 1, (fan_in, 1)))
             self.mlp_head_b = self._param("mlp.head.b", np.zeros((1, 1)))
+            self.hint_dim = fan_in
 
     def _param(self, name: str, values) -> Tensor:
         t = T.parameter(values, name=name)
@@ -258,19 +262,6 @@ class Model:
     def embedding_parameters(self) -> list[Tensor]:
         """The feature-embedding parameters, the only L2-regularized ones."""
         return list(self.embeddings) + list(self.numeric_proj)
-
-    @property
-    def hint_dim(self) -> int:
-        """Width of the representation used as the hint vector."""
-        if self.spec.deep:
-            return self.spec.deep[-1]
-        if self.spec.wide == "fm":
-            return self.spec.embedding_dim
-        if self.spec.wide == "cross":
-            return len(self.dims.vocab_sizes) * self.spec.embedding_dim + self.dims.n_numeric
-        if self.spec.wide == "cin":
-            return sum(self.spec.cin_maps)
-        return 1  # lr: degenerate single-logit hint
 
     # -- forward ----------------------------------------------------------
     def _inputs(self, cat, num):

@@ -334,25 +334,18 @@ def train_teacher(model: Model, train_data: EncodedDataset, hyper: TrainHyper,
     return record
 
 
-def _teacher_outputs(teachers: list[Model], cat, num, need_hints: bool):
-    """Detached per-teacher logits (and hints) for one batch."""
-    logits, hints = [], []
-    for t in teachers:
-        if need_hints:
-            z, h = t.hint_values(cat, num)
-            hints.append(h)
-        else:
-            z = t.logit_values(cat, num)
-        logits.append(z)
-    return logits, hints
+def _teacher_outputs(teachers: list[Model], cat, num):
+    """Detached per-teacher logits and hints: one inference call per teacher."""
+    outputs = [t.hint_values(cat, num) for t in teachers]
+    return [z for z, _ in outputs], [h for _, h in outputs]
 
 
 def _kd_term(dcfg: DistillConfig, teacher_logits, teacher_hints,
              student_logit: Tensor, student_hint: Tensor,
              gate: TeacherGate | None, projectors: list[HintProjector] | None) -> Tensor:
     if dcfg.method == KD.SOFT_LABEL:
-        alphas = (KD.gate_weights(teacher_logits, gate) if gate is not None
-                  else KD.uniform_weights(teacher_logits))
+        m = len(teacher_logits)
+        alphas = KD.gate_weights(teacher_logits, gate) if gate is not None else [1.0 / m] * m
         ensemble = KD.ensemble_teacher_logit(teacher_logits, alphas)
         return KD.soft_label_loss(ensemble, student_logit, dcfg.tau)
     # hint regression: uniform average of per-teacher hint losses
@@ -381,13 +374,12 @@ def _student_objective(student: Model, teachers: list[Model], dcfg: DistillConfi
         params += gate.parameters()
     for proj in projectors or ():
         params += proj.parameters()
-    need_hints = dcfg.method == KD.HINT
 
     def loss(batch: Batch, rng: np.random.Generator) -> Tensor:
         s_logit, s_hint = student.forward(batch.cat, batch.num, training=True, rng=rng)
         kd = None  # beta = 0: skip teacher inference entirely
         if dcfg.beta != 0.0:
-            z_list, h_list = _teacher_outputs(teachers, batch.cat, batch.num, need_hints)
+            z_list, h_list = _teacher_outputs(teachers, batch.cat, batch.num)
             kd = _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors)
         return KD.student_loss(batch.labels, s_logit, kd, dcfg.beta, dcfg.gamma)
 
@@ -437,7 +429,7 @@ def train_student_pretrain(student: Model, teachers: list[Model],
             # a value only: no graph over the slice, for the student, the
             # gate or the projectors
             with T.no_grad():
-                z_list, h_list = _teacher_outputs(teachers, cat, num, dcfg.method == KD.HINT)
+                z_list, h_list = _teacher_outputs(teachers, cat, num)
                 s_logit, s_hint = student.forward(cat, num, training=False)
                 return _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate,
                                 projectors).item()

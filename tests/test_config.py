@@ -247,6 +247,14 @@ PARSE_TIME_REFUSALS = {
     "no-feature-columns": ("", ["--set", "data.numeric_columns=",
                                 "--set", "data.categorical_columns="], "no feature columns"),
     "repeated-seed": ("train.seeds = 1,1", [], "bad value for train.seeds"),
+    "negative-split-seed": ("data.split_seed = -1", [], "bad value for data.split_seed"),
+    "negative-teacher-seed": ("train.teacher_seed = -1", [],
+                              "bad value for train.teacher_seed"),
+    "negative-ensemble-seed": ("ensemble.mode = M\nensemble.seeds = -1", [],
+                               "bad value for ensemble.seeds"),
+    "negative-partition-seed": ("ensemble.mode = D\nensemble.partitions = 2\n"
+                                "ensemble.partition_seed = -1", [],
+                                "bad value for ensemble.partition_seed"),
     "no-seed": ("train.seeds =", [], "bad value for train.seeds"),
     "cotrain-two-teachers": ("distill.scheme = cotrain\nensemble.mode = M\n"
                              "ensemble.teachers = fm,lr", [], "exactly one teacher"),

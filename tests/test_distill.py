@@ -4,8 +4,7 @@ import pytest
 from ctrkd import distill as KD
 from ctrkd.distill import (DistillConfig, HintProjector, TeacherGate, bce_loss,
                            cross_entropy, ensemble_teacher_logit, gate_weights,
-                           hint_loss, soft_label_loss, student_loss,
-                           uniform_weights)
+                           hint_loss, soft_label_loss, student_loss)
 from ctrkd.models import FieldDims, Model, ModelSpec
 from ctrkd.tensor import ComputationRecord, Tensor, parameter, sigmoid_values
 
@@ -240,7 +239,7 @@ def test_gated_soft_label_loss_gradcheck():
 
 def test_ensemble_single_teacher_is_identity():
     z = [np.array([[0.37], [-2.0]])]
-    out = ensemble_teacher_logit(z, uniform_weights(z))
+    out = ensemble_teacher_logit(z, [1.0 / len(z)] * len(z))
     np.testing.assert_array_equal(out.values, z[0])
     gate = TeacherGate(1)
     out = ensemble_teacher_logit(z, gate_weights(z, gate))
@@ -249,7 +248,7 @@ def test_ensemble_single_teacher_is_identity():
 
 def test_ensemble_uniform_average():
     z = [np.array([[1.0]]), np.array([[3.0]])]
-    out = ensemble_teacher_logit(z, uniform_weights(z))
+    out = ensemble_teacher_logit(z, [1.0 / len(z)] * len(z))
     assert out.values[0, 0] == pytest.approx(2.0, abs=1e-15)
 
 
@@ -269,7 +268,7 @@ def test_ensemble_matches_dot_product_oracle():
 def test_ensemble_averaging_fallback_equals_mean():
     rng = np.random.default_rng(4)
     z = [rng.normal(size=(50, 1)) for _ in range(5)]
-    out = ensemble_teacher_logit(z, uniform_weights(z))
+    out = ensemble_teacher_logit(z, [1.0 / len(z)] * len(z))
     np.testing.assert_allclose(out.values, np.mean(z, axis=0), atol=1e-12)
 
 

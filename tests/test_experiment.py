@@ -126,6 +126,16 @@ def test_failed_stage_flags_status(tmp_path):
     assert (tmp_path / "out" / "status.txt").read_text().startswith("failed: preprocess")
 
 
+def test_cli_run_refuses_an_empty_split_before_any_teacher(tmp_path, capsys):
+    path = tiny_config(tmp_path, extra="data.split_ratios = 0.9,0.1,0.0")
+    assert cli.main(["run", "-c", str(path)]) == 1
+    assert "the test split has 0 of 600 rows" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert (out / "status.txt").read_text().strip() == "failed: preprocess"
+    assert not (out / "teachers").exists()
+    assert not (out / "vocab.tsv").exists()
+
+
 def test_default_teacher_stage_is_mode_m(tmp_path):
     # no ensemble key at all trains what ensemble.mode = M alone trains
     outputs = []

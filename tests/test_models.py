@@ -296,12 +296,17 @@ def test_hint_selection():
     _, hint = fm.forward(cat, num)
     assert hint.shape == (3, 3)
     assert fm.hint_dim == 3
-    for wide in WIDE_KINDS:
-        for deep in [(8, 5)] + ([] if wide == "none" else [()]):
-            model = Model(ModelSpec(wide=wide, deep=deep, embedding_dim=3, cross_layers=2,
-                                    cin_maps=(3, 2)), DIMS, seed=1)
-            _, hint = model.forward(cat, num)
-            assert hint.shape == (3, model.hint_dim), (wide, deep)
+    no_numeric = FieldDims(vocab_sizes=DIMS.vocab_sizes)
+    for dims in (DIMS, no_numeric):
+        for wide in WIDE_KINDS:
+            for deep in [(8, 5)] + ([] if wide == "none" else [()]):
+                model = Model(ModelSpec(wide=wide, deep=deep, embedding_dim=3, cross_layers=2,
+                                        cin_maps=(3, 2)), dims, seed=1)
+                _, hint = model.forward(cat, num[:, :dims.n_numeric])
+                assert hint.shape == (3, model.hint_dim), (dims, wide, deep)
+    # DCN's hint is its cross output: the categorical fields times d
+    dcn = Model(ModelSpec.dcn(2, hidden=(), embedding_dim=3), no_numeric, seed=1)
+    assert dcn.hint_dim == 3 * 3
 
 
 def test_inference_values_equal_the_eval_forward_bitwise():
