@@ -292,6 +292,9 @@ class ExperimentConfig:
         if self["distill.scheme"] == COTRAIN and len(names) != 1:
             raise ConfigError("distill.scheme = cotrain needs exactly one teacher; "
                               f"this config trains {len(names)}")
+        if self["distill.scheme"] == COTRAIN and self.distill.gating:
+            raise ConfigError("distill.gating = true needs distill.scheme = pretrain; "
+                              "cotrain trains no teacher gate")
         reported = [f"teacher/{name}" for name in names]
         if len(names) >= 2:
             reported.append(TEACHERS_AVG)

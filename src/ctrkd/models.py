@@ -14,7 +14,8 @@ learned d-dimensional projection of its scalar value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,21 +127,14 @@ PRESETS = ("lr", "fm", "dnn", "wide_deep", "deepfm", "dcn", "xdeepfm")
 def spec_from_preset(name: str, *, embedding_dim: int = 10, hidden=(64, 64),
                      dropout: float = 0.0, cross_layers: int = 3,
                      cin_maps=(4, 4)) -> ModelSpec:
-    if name == "lr":
-        return ModelSpec.lr()
-    if name == "fm":
-        return ModelSpec.fm(embedding_dim)
-    if name == "dnn":
-        return ModelSpec.dnn(hidden, embedding_dim, dropout)
-    if name == "wide_deep":
-        return ModelSpec.wide_deep(hidden, embedding_dim, dropout)
-    if name == "deepfm":
-        return ModelSpec.deepfm(hidden, embedding_dim, dropout)
-    if name == "dcn":
-        return ModelSpec.dcn(cross_layers, hidden, embedding_dim, dropout)
-    if name == "xdeepfm":
-        return ModelSpec.xdeepfm(cin_maps, hidden, embedding_dim, dropout)
-    raise ValueError(f"unknown model preset {name!r}; choose one of {PRESETS}")
+    """The ``ModelSpec`` classmethod ``name``, given the shape keys it takes."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown model preset {name!r}; choose one of {PRESETS}")
+    make = getattr(ModelSpec, name)
+    shape = dict(embedding_dim=embedding_dim, hidden=hidden, dropout=dropout,
+                 cross_layers=cross_layers, cin_maps=cin_maps)
+    takes = inspect.signature(make).parameters
+    return make(**{key: value for key, value in shape.items() if key in takes})
 
 
 @dataclass(frozen=True)
@@ -167,15 +161,16 @@ class FieldDims:
         return cls(_ints(kv["vocab_sizes"]), int(kv["n_numeric"]))
 
 
-def _xavier(rng, fan_in, fan_out, shape):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 class Model:
-    """One zoo instance: parameters plus the forward graph builders."""
+    """One zoo instance: parameters plus the forward graph builders.
 
-    def __init__(self, spec: ModelSpec, dims: FieldDims, seed: int = 0):
+    A fresh model draws its parameters from ``seed``. Given ``tensors`` (name
+    to float64 array, such as a checkpoint's), it draws nothing: it takes each
+    parameter's array out of ``tensors`` after a shape check, without a copy,
+    and leaves every other entry there."""
+
+    def __init__(self, spec: ModelSpec, dims: FieldDims, seed: int = 0,
+                 tensors: dict[str, np.ndarray] | None = None):
         self.spec = spec
         self.dims = dims
         n_cat = len(dims.vocab_sizes)
@@ -185,19 +180,36 @@ class Model:
         rng = np.random.default_rng(seed)
         d = spec.embedding_dim
 
+        def param(name: str, shape: tuple[int, ...], init) -> Tensor:
+            """Declare one parameter: drawn by ``init(shape)``, or taken out
+            of ``tensors``."""
+            if tensors is None:
+                values = init(shape)
+            elif name not in tensors:
+                raise ValueError(f"lacks parameters [{name!r}]")
+            elif tensors[name].shape != shape:
+                raise ValueError(f"shape mismatch for {name}: {tensors[name].shape} vs {shape}")
+            else:
+                values = tensors.pop(name)
+            self._params.append(T.parameter(values, name=name))
+            return self._params[-1]
+
+        def normal(std):
+            return lambda shape: rng.normal(0.0, std, size=shape)
+
+        def xavier(shape):
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            return rng.uniform(-limit, limit, size=shape)
+
         # shared embedding tables, one per categorical field
-        self.embeddings: list[Tensor] = []
-        if spec.needs_embeddings:
-            for i, v in enumerate(dims.vocab_sizes):
-                self.embeddings.append(self._param(
-                    f"embed.{i}", rng.normal(0.0, EMBED_INIT_STD, size=(v, d))))
+        self.embeddings = ([param(f"embed.{i}", (v, d), normal(EMBED_INIT_STD))
+                            for i, v in enumerate(dims.vocab_sizes)]
+                           if spec.needs_embeddings else [])
 
         # learned d-dim projection of each numeric scalar, for FM/CIN fields
-        self.numeric_proj: list[Tensor] = []
-        if spec.wide in ("fm", "cin"):
-            for j in range(dims.n_numeric):
-                self.numeric_proj.append(self._param(
-                    f"numproj.{j}", rng.normal(0.0, EMBED_INIT_STD, size=(1, d))))
+        self.numeric_proj = ([param(f"numproj.{j}", (1, d), normal(EMBED_INIT_STD))
+                              for j in range(dims.n_numeric)]
+                             if spec.wide in ("fm", "cin") else [])
 
         concat_dim = n_cat * d + dims.n_numeric
 
@@ -205,55 +217,40 @@ class Model:
         if spec.wide in ("lr", "fm"):
             prefix = spec.wide
             self.hint_dim = 1 if prefix == "lr" else d  # lr: the logit itself
-            self.linear_cat = [self._param(f"{prefix}.cat.{i}", np.zeros((v, 1)))
+            self.linear_cat = [param(f"{prefix}.cat.{i}", (v, 1), np.zeros)
                                for i, v in enumerate(dims.vocab_sizes)]
-            self.linear_num = (self._param(f"{prefix}.num", np.zeros((dims.n_numeric, 1)))
+            self.linear_num = (param(f"{prefix}.num", (dims.n_numeric, 1), np.zeros)
                                if dims.n_numeric else None)
-            self.linear_bias = self._param(f"{prefix}.bias", np.zeros((1, 1)))
+            self.linear_bias = param(f"{prefix}.bias", (1, 1), np.zeros)
 
         if spec.wide == "cross":
-            self.cross_w = [self._param(f"cross.{l}.w",
-                                        rng.normal(0.0, 1.0 / np.sqrt(concat_dim),
-                                                   size=(concat_dim, 1)))
+            cross = normal(1.0 / np.sqrt(concat_dim))
+            self.cross_w = [param(f"cross.{l}.w", (concat_dim, 1), cross)
                             for l in range(spec.cross_layers)]
-            self.cross_b = [self._param(f"cross.{l}.b", np.zeros((1, concat_dim)))
+            self.cross_b = [param(f"cross.{l}.b", (1, concat_dim), np.zeros)
                             for l in range(spec.cross_layers)]
-            self.cross_head_w = self._param(
-                "cross.head.w", _xavier(rng, concat_dim, 1, (concat_dim, 1)))
-            self.cross_head_b = self._param("cross.head.b", np.zeros((1, 1)))
+            self.cross_head_w = param("cross.head.w", (concat_dim, 1), xavier)
+            self.cross_head_b = param("cross.head.b", (1, 1), np.zeros)
             self.hint_dim = concat_dim
 
         if spec.wide == "cin":
             m = n_cat + len(self.numeric_proj)
-            self.cin_w = []
-            prev = m
-            for k, h in enumerate(spec.cin_maps):
-                fan_in = prev * m
-                self.cin_w.append(self._param(
-                    f"cin.{k}.w", rng.normal(0.0, np.sqrt(2.0 / (fan_in + h)),
-                                             size=(h, fan_in))))
-                prev = h
+            fan_ins = [prev * m for prev in (m, *spec.cin_maps[:-1])]
+            self.cin_w = [param(f"cin.{k}.w", (h, fan_in), normal(np.sqrt(2.0 / (fan_in + h))))
+                          for k, (h, fan_in) in enumerate(zip(spec.cin_maps, fan_ins))]
             total = sum(spec.cin_maps)
-            self.cin_head_w = self._param("cin.head.w", _xavier(rng, total, 1, (total, 1)))
-            self.cin_head_b = self._param("cin.head.b", np.zeros((1, 1)))
+            self.cin_head_w = param("cin.head.w", (total, 1), xavier)
+            self.cin_head_b = param("cin.head.b", (1, 1), np.zeros)
             self.hint_dim = total
 
         if spec.deep:
-            self.mlp = []
-            fan_in = concat_dim
-            for l, h in enumerate(spec.deep):
-                w = self._param(f"mlp.{l}.w", _xavier(rng, fan_in, h, (fan_in, h)))
-                b = self._param(f"mlp.{l}.b", np.zeros((1, h)))
-                self.mlp.append((w, b))
-                fan_in = h
-            self.mlp_head_w = self._param("mlp.head.w", _xavier(rng, fan_in, 1, (fan_in, 1)))
-            self.mlp_head_b = self._param("mlp.head.b", np.zeros((1, 1)))
-            self.hint_dim = fan_in
-
-    def _param(self, name: str, values) -> Tensor:
-        t = T.parameter(values, name=name)
-        self._params.append(t)
-        return t
+            widths = (concat_dim, *spec.deep)
+            self.mlp = [(param(f"mlp.{l}.w", (fan_in, h), xavier),
+                         param(f"mlp.{l}.b", (1, h), np.zeros))
+                        for l, (fan_in, h) in enumerate(zip(widths, spec.deep))]
+            self.mlp_head_w = param("mlp.head.w", (widths[-1], 1), xavier)
+            self.mlp_head_b = param("mlp.head.b", (1, 1), np.zeros)
+            self.hint_dim = widths[-1]
 
     # -- parameter access -------------------------------------------------
     def parameters(self) -> list[Tensor]:
@@ -304,11 +301,16 @@ class Model:
         logit = T.add(linear, T.reduce_sum(pair, axis=1, keepdims=True))
         return logit, pair
 
-    def _cross(self, num, embeds):
+    def _concat(self, num, embeds):
+        """The CrossNet and MLP input: every field's embedding, then the raw
+        numerics."""
         parts = list(embeds)
         if self.dims.n_numeric:
             parts.append(Tensor(num))
-        x0 = T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+        return T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+
+    def _cross(self, num, embeds):
+        x0 = self._concat(num, embeds)
         x = x0
         for w, b in zip(self.cross_w, self.cross_b):
             # x_{l+1} = x0 * (x_l . w_l) + b_l + x_l
@@ -333,10 +335,7 @@ class Model:
         return logit, vec
 
     def _deep(self, num, embeds, training, rng):
-        parts = list(embeds)
-        if self.dims.n_numeric:
-            parts.append(Tensor(num))
-        x = T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+        x = self._concat(num, embeds)
         for w, b in self.mlp:
             x = T.relu(T.linear(x, w, b))
             if self.spec.dropout > 0.0:
@@ -382,15 +381,3 @@ class Model:
     # -- state ------------------------------------------------------------
     def state(self) -> dict[str, np.ndarray]:
         return {p.name: p.values.copy() for p in self._params}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        names = {p.name for p in self._params}
-        if names != set(state):
-            missing = names ^ set(state)
-            raise ValueError(f"parameter names do not match checkpoint: {sorted(missing)}")
-        for p in self._params:
-            src = np.asarray(state[p.name], dtype=np.float64)
-            if src.shape != p.values.shape:
-                raise ValueError(f"shape mismatch for {p.name}: "
-                                 f"{src.shape} vs {p.values.shape}")
-            np.copyto(p.values, src)

@@ -17,6 +17,7 @@ constructed, so a truncated or corrupt file never yields a partial model.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -63,19 +64,29 @@ def _tensor_parts(named: dict[str, np.ndarray]) -> list[tuple[bytes, np.ndarray]
 
 
 class _Reader:
-    """Reads a checkpoint's bytes through a ``memoryview``: ``take`` hands
-    out views, so nothing is copied until a tensor is."""
+    """Reads a checkpoint file front to back. ``left`` bounds every read to
+    the file or section being read, so a length that overruns it raises
+    before anything of that length is allocated."""
 
-    def __init__(self, raw: bytes):
-        self.raw = memoryview(raw)
-        self.pos = 0
+    def __init__(self, f, left: int):
+        self.f = f
+        self.left = left
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.raw):
+    def claim(self, n: int) -> "_Reader":
+        """Claim the next ``n`` bytes: a reader bounded to them."""
+        if n > self.left:
             raise CorruptCheckpointError("checkpoint file is truncated")
-        out = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.left -= n
+        return _Reader(self.f, n)
+
+    def _fill(self, buf):
+        if self.f.readinto(buf) != len(buf):  # the file shrank while being read
+            raise CorruptCheckpointError("checkpoint file is truncated")
+        return buf
+
+    def take(self, n: int) -> bytearray:
+        self.claim(n)
+        return self._fill(bytearray(n))
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -87,13 +98,18 @@ class _Reader:
         except UnicodeDecodeError:
             raise CorruptCheckpointError("section or tensor name is not utf-8") from None
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.raw)
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The next float64 array of ``shape``, read straight into its buffer."""
+        self.claim(math.prod(shape) * _F64.itemsize)
+        try:
+            arr = np.empty(shape, dtype=_F64)
+        except ValueError:  # too many or too large dimensions
+            raise CorruptCheckpointError(f"bad shape {shape} for tensor {name!r}") from None
+        self._fill(arr.reshape(-1).view(np.uint8))
+        return arr
 
 
-def _unpack_tensors(raw: memoryview) -> dict[str, np.ndarray]:
-    r = _Reader(raw)
+def _read_tensors(r: _Reader) -> dict[str, np.ndarray]:
     (count,) = r.unpack("<I")
     out = {}
     for _ in range(count):
@@ -101,22 +117,20 @@ def _unpack_tensors(raw: memoryview) -> dict[str, np.ndarray]:
         code, ndim = r.unpack("<BB")
         if code != _F64_CODE:
             raise CorruptCheckpointError(f"unknown dtype code {code}")
-        shape = r.unpack(f"<{ndim}Q")
-        arr = np.frombuffer(r.take(math.prod(shape) * _F64.itemsize), dtype=_F64)
-        try:
-            out[name] = arr.reshape(shape).astype(np.float64)
-        except ValueError:  # too many or too large dimensions
-            raise CorruptCheckpointError(f"bad shape {shape} for tensor {name!r}") from None
-    if not r.exhausted:
+        out[name] = r.array(name, r.unpack(f"<{ndim}Q"))
+    if r.left:
         raise CorruptCheckpointError("trailing bytes in tensor section")
     return out
 
 
 @dataclass
 class Checkpoint:
+    """A parsed checkpoint file. ``build_model`` moves the model's parameters
+    out of ``tensors``, which keeps the extras, so no two models share an array."""
+
     spec: ModelSpec
     dims: FieldDims
-    tensors: dict[str, np.ndarray]  # every tensor in the file: parameters and extras
+    tensors: dict[str, np.ndarray]
     seed: int = 0
     epoch: int = 0
     vocab_fingerprint: str = ""
@@ -126,16 +140,10 @@ class Checkpoint:
             raise FingerprintMismatchError(
                 f"checkpoint was built against vocabulary {self.vocab_fingerprint[:12]}..., "
                 f"got {expected_fingerprint[:12]}...")
-        model = Model(self.spec, self.dims, seed=0)
-        names = [p.name for p in model.parameters()]
-        missing = [n for n in names if n not in self.tensors]
-        if missing:
-            raise CorruptCheckpointError(f"checkpoint lacks parameters {missing}")
         try:
-            model.load_state({n: self.tensors[n] for n in names})
+            return Model(self.spec, self.dims, tensors=self.tensors)
         except ValueError as err:  # the tensors do not fit the spec and fields
-            raise CorruptCheckpointError(str(err)) from None
-        return model
+            raise CorruptCheckpointError(f"checkpoint {err}") from None
 
 
 def save(path, model: Model, *, seed: int = 0, epoch: int = 0,
@@ -173,18 +181,18 @@ def save(path, model: Model, *, seed: int = 0, epoch: int = 0,
 def load(path) -> Checkpoint:
     """Parse and validate a checkpoint file completely."""
     with open(path, "rb") as f:
-        raw = f.read()
-    r = _Reader(raw)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise CorruptCheckpointError("not a checkpoint file (bad magic)")
-    (version,) = r.unpack("<I")
-    if version != VERSION:
-        raise VersionMismatchError(f"checkpoint version {version}, expected {VERSION}")
-    sections: dict[str, memoryview] = {}
-    while not r.exhausted:
-        name = r.name()
-        (payload_len,) = r.unpack("<Q")
-        sections[name] = r.take(payload_len)
+        r = _Reader(f, os.fstat(f.fileno()).st_size)
+        if r.take(len(MAGIC)) != MAGIC:
+            raise CorruptCheckpointError("not a checkpoint file (bad magic)")
+        (version,) = r.unpack("<I")
+        if version != VERSION:
+            raise VersionMismatchError(f"checkpoint version {version}, expected {VERSION}")
+        sections: dict[str, bytearray | dict[str, np.ndarray]] = {}
+        while r.left:
+            name = r.name()
+            (payload_len,) = r.unpack("<Q")
+            sections[name] = (_read_tensors(r.claim(payload_len)) if name == "tensors"
+                              else r.take(payload_len))
     for required in ("spec", "fields", "meta", "tensors"):
         if required not in sections:
             raise CorruptCheckpointError(f"missing checkpoint section {required!r}")
@@ -198,5 +206,5 @@ def load(path) -> Checkpoint:
     except (ValueError, KeyError) as err:
         # undecodable text, a malformed line, a missing key or a bad value
         raise CorruptCheckpointError(f"bad spec, fields or meta section: {err!r}") from None
-    return Checkpoint(spec, dims, _unpack_tensors(sections["tensors"]), seed=seed,
-                      epoch=epoch, vocab_fingerprint=fingerprint)
+    return Checkpoint(spec, dims, sections["tensors"], seed=seed, epoch=epoch,
+                      vocab_fingerprint=fingerprint)

@@ -357,12 +357,12 @@ def _kd_term(dcfg: DistillConfig, teacher_logits, teacher_hints,
 
 
 def _student_objective(student: Model, teachers: list[Model], dcfg: DistillConfig,
-                       hyper: TrainHyper, seed: int, gating: bool):
+                       hyper: TrainHyper, seed: int):
     """CE plus the KD term against the teachers' detached outputs; returns
     the objective with the gate and hint projectors it trains."""
     # beta = 0 skips the KD term, so the gate/projectors would never see a
     # gradient; leave them out to keep the trajectory identical to plain CE
-    gate = TeacherGate(len(teachers)) if gating and dcfg.beta > 0.0 else None
+    gate = TeacherGate(len(teachers)) if dcfg.gating and dcfg.beta > 0.0 else None
     projectors = None
     if dcfg.method == KD.HINT and dcfg.beta > 0.0:
         proj_rng = np.random.default_rng(np.random.SeedSequence([_PROJECTOR_TAG, seed]))
@@ -417,8 +417,7 @@ def train_student_pretrain(student: Model, teachers: list[Model],
         raise ValueError("hint distillation with beta = 0 has no KD loss to stop on "
                          "(no hint projectors are trained); use val_auc_max stopping")
 
-    objective, gate, projectors = _student_objective(student, teachers, dcfg, hyper, seed,
-                                                     dcfg.gating)
+    objective, gate, projectors = _student_objective(student, teachers, dcfg, hyper, seed)
     if stop_mode == KD_LOSS_MIN:
         def measure(epoch: int) -> float:
             # unlabeled monitoring slice of training inputs, refreshed per epoch
@@ -451,8 +450,9 @@ def train_student_cotrain(teacher: Model, student: Model, dcfg: DistillConfig,
     the student's update leaves the teacher's parameters untouched."""
     if teacher.dims != student.dims:
         raise ValueError("teacher and student were built for different field schemas")
-    student_objective, _, _ = _student_objective(student, [teacher], dcfg, hyper, seed,
-                                                 gating=False)
+    if dcfg.gating:
+        raise ValueError("cotrain trains no teacher gate; use a config with gating=False")
+    student_objective, _, _ = _student_objective(student, [teacher], dcfg, hyper, seed)
     t_record, s_record = _fit([_bce_objective(teacher, hyper, seed), student_objective],
                               train_data, hyper, seed, on_step=on_step)
     return t_record, s_record

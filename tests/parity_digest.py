@@ -20,7 +20,8 @@ row-sparse gradient and most rows go untouched for many steps; one run adds
 L2 on the embeddings, which densifies that gradient.
 
 Nothing depends on ``PYTHONHASHSEED``: runs, parameters, records and files are
-hashed in list order. pytest does not collect this file.
+hashed in list order. pytest does not collect this file;
+``tests/test_parity.py`` runs it and compares every hash with a pinned value.
 """
 from __future__ import annotations
 
@@ -238,9 +239,14 @@ def pipeline_runs():
             yield f"pipeline/{name}", h.hexdigest()
 
 
+def all_runs():
+    """Yield (name, digest) for all 29 runs, in the printed order."""
+    return itertools.chain(runs(), pipeline_runs(), bigvocab_runs())
+
+
 def main() -> int:
     combined = hashlib.sha256()
-    for name, digest in itertools.chain(runs(), pipeline_runs(), bigvocab_runs()):
+    for name, digest in all_runs():
         print(f"{digest}  {name}", flush=True)
         combined.update(f"{name} {digest}\n".encode())
     print(f"{combined.hexdigest()}  combined")

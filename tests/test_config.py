@@ -258,6 +258,8 @@ PARSE_TIME_REFUSALS = {
     "no-seed": ("train.seeds =", [], "bad value for train.seeds"),
     "cotrain-two-teachers": ("distill.scheme = cotrain\nensemble.mode = M\n"
                              "ensemble.teachers = fm,lr", [], "exactly one teacher"),
+    "cotrain-gating": ("distill.scheme = cotrain\ndistill.gating = true", [],
+                       "needs distill.scheme = pretrain"),
     "train-setting": ("train.lr = -0.01", [], "train.lr must be"),
     "distill-weights": ("distill.beta = 0.9\ndistill.gamma = 0.9", [], "beta + gamma = 1"),
     "split-ratios": ("data.split_ratios = 0.5,0.5,0.5", [], "split ratios"),

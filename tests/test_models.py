@@ -256,10 +256,7 @@ def test_mlp_gradients_match_finite_differences():
 def part_of(model, **change):
     """A model with ``change`` applied to the spec, holding the model's
     parameters of the same names."""
-    part = Model(replace(model.spec, **change), DIMS, seed=0)
-    state = model.state()
-    part.load_state({name: state[name] for name in part.state()})
-    return part
+    return Model(replace(model.spec, **change), DIMS, tensors=model.state())
 
 
 def test_model_logit_additivity():
@@ -337,12 +334,16 @@ def test_predict_sigmoid_mapping():
 def test_state_roundtrip_and_mismatch():
     model = Model(ModelSpec.deepfm((4,), embedding_dim=2), DIMS, seed=3)
     state = model.state()
-    clone = Model(ModelSpec.deepfm((4,), embedding_dim=2), DIMS, seed=99)
-    clone.load_state(state)
+    arrays = dict(state)
+    clone = Model(ModelSpec.deepfm((4,), embedding_dim=2), DIMS, seed=99, tensors=state)
+    assert state == {}  # the clone took every array out, without a copy
+    assert all(p.values is arrays[p.name] for p in clone.parameters())
     cat, num = toy_batch()
     np.testing.assert_array_equal(clone.logit_values(cat, num), model.logit_values(cat, num))
-    with pytest.raises(ValueError):
-        Model(ModelSpec.lr(), DIMS, seed=0).load_state(state)
+    with pytest.raises(ValueError, match="lacks parameters"):
+        Model(ModelSpec.lr(), DIMS, seed=0, tensors=model.state())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Model(ModelSpec.deepfm((4,), embedding_dim=3), DIMS, seed=0, tensors=model.state())
 
 
 def test_dropout_only_in_training_mode():

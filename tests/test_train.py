@@ -488,6 +488,19 @@ def test_cotrain_beta_zero_matches_both_standalone_runs():
         np.testing.assert_array_equal(arr, co_s.state()[name])
 
 
+def test_cotrain_refuses_a_gating_config():
+    # cotrain trains no gate, so a gating config would be silently dropped
+    ds, dims = small_synth(400)
+    teacher = Model(ModelSpec.fm(4), dims, seed=1)
+    student = Model(ModelSpec.dnn((6,), embedding_dim=4), dims, seed=2)
+    before = teacher.state()
+    with pytest.raises(ValueError, match="no teacher gate"):
+        train_student_cotrain(teacher, student, DistillConfig(gating=True), ds,
+                              TrainHyper(max_epochs=1), seed=1)
+    for name, arr in before.items():
+        np.testing.assert_array_equal(arr, teacher.state()[name])
+
+
 def test_evaluate_model_returns_metrics():
     ds, dims = small_synth(800)
     model = Model(ModelSpec.lr(), dims, seed=0)
