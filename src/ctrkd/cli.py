@@ -14,6 +14,12 @@ from . import experiment
 from .config import ConfigError, load_config, parse_kv
 
 
+# each verb but ``run`` runs one stage, named by its tag
+_VERB_STAGES = {"preprocess": "preprocess", "train-teacher": "teachers",
+                "make-ensemble": "teachers", "distill": "distill",
+                "evaluate": "evaluate", "report": "report"}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", required=True, help="experiment config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -25,8 +31,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="ctrkd",
         description="knowledge-distillation experiments for CTR prediction")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("preprocess", "train-teacher", "make-ensemble", "distill",
-                 "evaluate", "report", "run"):
+    for verb in (*_VERB_STAGES, "run"):
         _add_common(sub.add_parser(verb))
     args = parser.parse_args(argv)
 
@@ -38,31 +43,24 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--set expects one key=value, got {pair!r}")
             overrides.update(kv)
         cfg = load_config(args.config, overrides)
-        if args.verb == "preprocess":
-            art = experiment._run_stage("preprocess", experiment.stage_preprocess, cfg)
-            print(f"encoded {len(art.train)}/{len(art.val)}/{len(art.test)} rows "
+        if args.verb == "make-ensemble" and "ensemble.mode" not in cfg.values:
+            raise ConfigError("make-ensemble needs ensemble.mode = M or D")
+        stage = _VERB_STAGES.get(args.verb)
+        result = experiment.run(cfg) if stage is None else experiment.run_stage(stage, cfg)
+        if stage == "preprocess":
+            print(f"encoded {len(result.train)}/{len(result.val)}/{len(result.test)} rows "
                   f"(train/val/test) into {cfg.output_dir}")
-        elif args.verb in ("train-teacher", "make-ensemble"):
-            if args.verb == "make-ensemble" and "ensemble.mode" not in cfg.values:
-                raise ConfigError("make-ensemble needs ensemble.mode = M or D")
-            entries = experiment._run_stage(
-                "teachers", experiment.stage_teachers_from_disk, cfg)
-            for e in entries:
+        elif stage == "teachers":
+            for e in result:
                 print(f"trained {e['model']} (seed {e['seed']}) -> {e['ckpt']}")
-        elif args.verb == "distill":
-            rows = experiment._run_stage("distill", experiment.stage_distill, cfg)
-            for r in rows:
+        elif stage == "distill":
+            for r in result:
                 print(f"trained {r['model']} seed {r['seed']} -> {r['ckpt']}")
-        elif args.verb == "evaluate":
-            rows = experiment._run_stage("evaluate", experiment.stage_evaluate, cfg)
-            for r in rows:
+        elif stage == "evaluate":
+            for r in result:
                 print(f"{r.model} seed {r.seed}: auc={r.auc:.4f} logloss={r.logloss:.4f}")
-        elif args.verb == "report":
-            report = experiment._run_stage("report", experiment.stage_report, cfg)
-            print(report.text_table(), end="")
-        else:
-            report = experiment.run(cfg)
-            print(report.text_table(), end="")
+        else:  # report, or the whole run
+            print(result.text_table(), end="")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

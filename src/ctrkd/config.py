@@ -110,8 +110,10 @@ def _span(raw: str) -> tuple[int, ...]:
         if part == "":
             continue
         if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"range {part!r} ends below its start")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return tuple(out)

@@ -8,6 +8,7 @@ parameters do stay in the graph.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ COTRAIN = "cotrain"
 HINT_BETA_MAX = 1e-3
 
 
+def _check_tau(tau: float) -> None:
+    if not 1.0 <= tau < math.inf:  # nan fails the comparison too
+        raise ValueError("temperature tau must be finite and >= 1")
+
+
 @dataclass(frozen=True)
 class DistillConfig:
     """Which KD signal to use and how to weight it against the CE term."""
@@ -38,8 +44,7 @@ class DistillConfig:
         if self.method not in (SOFT_LABEL, HINT):
             raise ValueError(f"unknown distillation method {self.method!r}")
         if self.method == SOFT_LABEL:
-            if self.tau < 1.0:
-                raise ValueError("temperature tau must be >= 1")
+            _check_tau(self.tau)
             if not (0.0 <= self.beta <= 1.0 and 0.0 <= self.gamma <= 1.0):
                 raise ValueError("soft-label weights must lie in [0, 1]")
             if abs(self.beta + self.gamma - 1.0) > 1e-9:
@@ -80,8 +85,7 @@ def soft_label_loss(teacher_logits, student_logits: Tensor, tau: float) -> Tenso
     A gated ensemble logit may be passed as a live tensor so the gate
     parameters keep training.
     """
-    if tau < 1.0:
-        raise ValueError("temperature tau must be >= 1")
+    _check_tau(tau)
     target = T.sigmoid(T.mul(teacher_logits, 1.0 / tau))
     return cross_entropy(target, T.mul(student_logits, 1.0 / tau))
 

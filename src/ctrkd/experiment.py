@@ -1,7 +1,8 @@
 """Experiment pipeline: preprocess -> teachers -> distill -> evaluate -> report.
 
 Each stage persists its outputs under the config's output directory, so the
-CLI verbs can run the stages in separate processes; ``run`` chains them all.
+CLI verbs can run the stages in separate processes; ``run`` chains them all,
+each through ``run_stage``.
 Any stage failure aborts with a stage-tagged error and flags the output
 directory as failed so partially written artifacts are never mistaken for a
 finished run.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,11 +34,18 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _run_stage(stage: str, fn, *args):
+# stage tag -> the name of the function that runs it, in pipeline order. The
+# function is looked up by name at call time, so a wrapper installed on the
+# module attribute is the one that runs.
+STAGES = {"preprocess": "stage_preprocess", "teachers": "stage_teachers_from_disk",
+          "distill": "stage_distill", "evaluate": "stage_evaluate",
+          "report": "stage_report"}
+
+
+def run_stage(stage: str, cfg: ExperimentConfig):
+    """Run the stage tagged ``stage``; any failure becomes a StageError."""
     try:
-        return fn(*args)
-    except StageError:
-        raise
+        return globals()[STAGES[stage]](cfg)
     except Exception as err:
         raise StageError(stage, err) from err
 
@@ -90,28 +98,29 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
     return DataArtifacts(dims, fingerprint, *datasets)
 
 
-def _teacher_dir(outdir: str) -> str:
-    return os.path.join(outdir, "teachers")
-
-
-def _teacher_meta_path(outdir: str) -> str:
-    return os.path.join(outdir, "teachers_meta.csv")
+def _layout(outdir: str, kind: str) -> tuple[str, str]:
+    """The ``kind`` ("teachers" or "students") checkpoint directory and the
+    ``<kind>_meta.csv`` beside it that lists them."""
+    return os.path.join(outdir, kind), os.path.join(outdir, f"{kind}_meta.csv")
 
 
 META_FIELDS = ["model", "seed", "ckpt", "best_epoch", "seconds"]
-RUN_FIELDS = ["model", "seed", "auc", "logloss", "best_epoch", "seconds"]
+# record columns that are not text
+_TYPES = {"seed": int, "best_epoch": int, "seconds": float, "auc": float, "logloss": float}
 
 
-def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
+def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=fields)
+        writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
 
-def _read_meta(path: str) -> list[dict]:
+def _read_records(path: str) -> list[dict]:
+    """The rows of a ``*_meta.csv`` or ``runs.csv``, numeric columns typed."""
     with open(path, "r", newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))
+        return [{k: _TYPES.get(k, str)(v) for k, v in row.items()}
+                for row in csv.DictReader(f)]
 
 
 def _save_trained(directory: str, name: str, label: str, model: Model, seed: int,
@@ -133,11 +142,13 @@ def _train_and_save(cfg: ExperimentConfig, art: DataArtifacts, directory: str,
     return _save_trained(directory, name, label, model, seed, record, art.fingerprint)
 
 
-def make_ensemble(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
-    """Generate teacher checkpoints: mode M (the default) varies architectures/
-    seeds on the shared split, mode D re-partitions train+val per teacher
-    (same test set)."""
-    directory = _teacher_dir(cfg.output_dir)
+def stage_teachers_from_disk(cfg: ExperimentConfig) -> list[dict]:
+    """Train the configured teacher ensemble (by default the one
+    ``teacher.model``) and list it in ``teachers_meta.csv``. Mode M (the
+    default) varies architectures/seeds on the shared split, mode D
+    re-partitions train+val per teacher (same test set)."""
+    art = DataArtifacts.load(cfg.output_dir)
+    directory, meta_path = _layout(cfg.output_dir, "teachers")
     os.makedirs(directory, exist_ok=True)
     partitioned = cfg.get("ensemble.mode") == "D"
     pool = EncodedDataset.concatenate([art.train, art.val]) if partitioned else None
@@ -156,23 +167,8 @@ def make_ensemble(cfg: ExperimentConfig, art: DataArtifacts) -> list[dict]:
             train_ds, val_ds = pool.subset(train_idx), pool.subset(val_idx)
         entries.append(_train_and_save(cfg, art, directory, name, f"teacher/{name}",
                                        spec, seed, train_ds, val_ds))
+    _write_csv(meta_path, META_FIELDS, entries)
     return entries
-
-
-def stage_teachers_from_disk(cfg: ExperimentConfig) -> list[dict]:
-    """Train the configured teacher ensemble (by default the one
-    ``teacher.model``) and list it in ``teachers_meta.csv``."""
-    entries = make_ensemble(cfg, DataArtifacts.load(cfg.output_dir))
-    _write_csv(_teacher_meta_path(cfg.output_dir), META_FIELDS, entries)
-    return entries
-
-
-def _student_dir(outdir: str) -> str:
-    return os.path.join(outdir, "students")
-
-
-def _student_meta_path(outdir: str) -> str:
-    return os.path.join(outdir, "students_meta.csv")
 
 
 def stage_distill(cfg: ExperimentConfig) -> list[dict]:
@@ -183,11 +179,11 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
     student file."""
     outdir = cfg.output_dir
     art = DataArtifacts.load(outdir)
-    meta_path = _teacher_meta_path(outdir)
+    _, meta_path = _layout(outdir, "teachers")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"no trained teachers found at {meta_path}; "
                                 "run the teacher stage first")
-    ckpts = [row["ckpt"] for row in _read_meta(meta_path)]
+    ckpts = [row["ckpt"] for row in _read_records(meta_path)]
     missing = [ckpt for ckpt in ckpts if not os.path.exists(ckpt)]
     if missing:
         raise FileNotFoundError(f"missing teacher checkpoints: {missing}")
@@ -202,7 +198,7 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
         stop_mode, kd_val = KD_LOSS_MIN, None
         if scheme == PRETRAIN and cfg["distill.merge_val"]:
             kd_train = EncodedDataset.concatenate([art.train, art.val])
-    directory = _student_dir(outdir)
+    directory, meta_path = _layout(outdir, "students")
     os.makedirs(directory, exist_ok=True)
     rows = []
     for seed in cfg["train.seeds"]:
@@ -226,7 +222,7 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
                     extras.update({p.name: p.values for p in part.parameters()})
         rows.append(_save_trained(directory, f"{KD_STUDENT}-s{seed}", KD_STUDENT, student,
                                   seed, record, art.fingerprint, extras))
-    _write_csv(_student_meta_path(outdir), META_FIELDS, rows)
+    _write_csv(meta_path, META_FIELDS, rows)
     return rows
 
 
@@ -237,17 +233,17 @@ def stage_evaluate(cfg: ExperimentConfig) -> list[ReportRow]:
     labels = art.test.labels
     rows: list[ReportRow] = []
     teacher_scores = []
-    for meta_path in (_teacher_meta_path(outdir), _student_meta_path(outdir)):
+    for kind in ("teachers", "students"):
+        _, meta_path = _layout(outdir, kind)
         if not os.path.exists(meta_path):
             continue
-        for entry in _read_meta(meta_path):
+        for entry in _read_records(meta_path):
             model = persist.load(entry["ckpt"]).build_model(
                 expected_fingerprint=art.fingerprint)
             scores = predict_dataset(model, art.test)
-            row = ReportRow(entry["model"], int(entry["seed"]),
-                            auc(scores, labels), logloss(scores, labels),
-                            int(entry["best_epoch"]), float(entry["seconds"]))
-            rows.append(row)
+            rows.append(ReportRow(entry["model"], entry["seed"], auc(scores, labels),
+                                  logloss(scores, labels), entry["best_epoch"],
+                                  entry["seconds"]))
             if entry["model"].startswith("teacher/"):
                 teacher_scores.append(scores)
     if len(teacher_scores) >= 2:
@@ -260,19 +256,15 @@ def stage_evaluate(cfg: ExperimentConfig) -> list[ReportRow]:
             rows.append(ReportRow(TEACHERS_AVG, 0,
                                   float(np.mean([r.auc for r in t_rows])),
                                   float(np.mean([r.logloss for r in t_rows])), 0, 0.0))
-    _write_csv(os.path.join(outdir, "runs.csv"), RUN_FIELDS, [asdict(r) for r in rows])
+    _write_csv(os.path.join(outdir, "runs.csv"), [f.name for f in fields(ReportRow)],
+               [asdict(r) for r in rows])
     return rows
-
-
-def _read_runs_csv(outdir: str) -> list[ReportRow]:
-    return [ReportRow(r["model"], int(r["seed"]), float(r["auc"]), float(r["logloss"]),
-                      int(r["best_epoch"]), float(r["seconds"]))
-            for r in _read_meta(os.path.join(outdir, "runs.csv"))]
 
 
 def stage_report(cfg: ExperimentConfig) -> ExperimentReport:
     outdir = cfg.output_dir
-    report = ExperimentReport(_read_runs_csv(outdir), baseline=cfg["report.baseline"])
+    runs = _read_records(os.path.join(outdir, "runs.csv"))
+    report = ExperimentReport([ReportRow(**r) for r in runs], baseline=cfg["report.baseline"])
     with open(os.path.join(outdir, "report.csv"), "w", encoding="utf-8") as f:
         f.write(report.summary_csv())
     with open(os.path.join(outdir, "report.txt"), "w", encoding="utf-8") as f:
@@ -286,11 +278,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     os.makedirs(outdir, exist_ok=True)
     _write_status(outdir, "running")
     try:
-        _run_stage("preprocess", stage_preprocess, cfg)
-        _run_stage("teachers", stage_teachers_from_disk, cfg)
-        _run_stage("distill", stage_distill, cfg)
-        _run_stage("evaluate", stage_evaluate, cfg)
-        report = _run_stage("report", stage_report, cfg)
+        for stage in STAGES:
+            report = run_stage(stage, cfg)
     except StageError as err:
         _write_status(outdir, f"failed: {err.stage}")
         raise

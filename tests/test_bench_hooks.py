@@ -17,10 +17,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import ctrkd.persist  # noqa: E402
 import ctrkd.train  # noqa: E402
 import spans  # noqa: E402
+from ctrkd import cli  # noqa: E402
 from ctrkd.distill import DistillConfig  # noqa: E402
 from ctrkd.models import FieldDims, Model, ModelSpec  # noqa: E402
 from ctrkd.synth import synthetic_dataset  # noqa: E402
 from ctrkd.train import TrainHyper  # noqa: E402
+from test_experiment import tiny_config  # noqa: E402
 
 
 def assert_restored(saved):
@@ -84,3 +86,23 @@ def test_checkpoint_reload_builds_one_model(tmp_path):
     assert metrics["models.init.calls"] == 1
     for name, arr in again.state().items():
         np.testing.assert_array_equal(arr, model.state()[name])
+
+
+def test_cli_run_opens_one_span_per_stage(tmp_path):
+    # the stage wrappers only count if the runner looks each stage up when it
+    # runs it, not through a table of the functions taken at import time
+    path = tiny_config(tmp_path)
+
+    tracer = spans.Tracer("test")
+    tracer.install()
+    saved = list(tracer._saved)
+    try:
+        assert cli.main(["run", "-c", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+
+    assert_restored(saved)
+    names = [s["name"] for s in tracer.spans]
+    assert [n for n in names if n.startswith("experiment.")] == \
+        [f"experiment.{stage}" for stage in spans.STAGES.values()]
+    assert names.count("data.read_rows") == 1

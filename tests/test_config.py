@@ -244,6 +244,8 @@ PARSE_TIME_REFUSALS = {
     "negative-column": ("data.label_column = -1", [], "bad value for data.label_column"),
     "label-is-feature": ("data.label_column = 3", [], "label column cannot also be"),
     "column-gap": ("", ["--set", "data.categorical_columns=4-9"], "must be contiguous"),
+    "reversed-span": ("", ["--set", "data.numeric_columns=2-1"],
+                      "bad value for data.numeric_columns"),
     "no-feature-columns": ("", ["--set", "data.numeric_columns=",
                                 "--set", "data.categorical_columns="], "no feature columns"),
     "repeated-seed": ("train.seeds = 1,1", [], "bad value for train.seeds"),
@@ -262,6 +264,8 @@ PARSE_TIME_REFUSALS = {
                        "needs distill.scheme = pretrain"),
     "train-setting": ("train.lr = -0.01", [], "train.lr must be"),
     "distill-weights": ("distill.beta = 0.9\ndistill.gamma = 0.9", [], "beta + gamma = 1"),
+    "tau-nan": ("distill.tau = nan", [], "tau must be finite"),
+    "tau-inf": ("distill.tau = inf", [], "tau must be finite"),
     "split-ratios": ("data.split_ratios = 0.5,0.5,0.5", [], "split ratios"),
     "sequential-no-day": ("data.split = sequential", [], "needs data.day_column"),
     "model-shape": ("student.dropout = 1.5", [], "bad student model"),

@@ -129,6 +129,15 @@ def test_soft_label_rejects_small_tau():
         soft_label_loss(np.zeros((1, 1)), Tensor(np.zeros((1, 1))), 0.9)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_tau_must_be_finite(tau):
+    # nan would train to a nan loss, inf to a constant KD term of ln 2
+    with pytest.raises(ValueError, match="tau must be finite"):
+        DistillConfig(method="soft_label", tau=tau, beta=0.5, gamma=0.5)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        soft_label_loss(np.zeros((1, 1)), Tensor(np.zeros((1, 1))), tau)
+
+
 def test_hint_loss_identity_projector_zero():
     proj = HintProjector(3, 3)
     v = np.array([[0.4, -1.0, 2.0]])

@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from ctrkd import cli, experiment, persist
 from ctrkd.config import ConfigError, load_config, parse_config_text
 from ctrkd.data import EncodedDataset
 from ctrkd.models import Model
+from ctrkd.report import ReportRow
 from ctrkd.synth import SyntheticSpec, write_synthetic_file
 from ctrkd.train import KD_LOSS_MIN, train_student_pretrain
 
@@ -44,6 +46,10 @@ distill.gamma = 0.5
 
 def load_cfg(path):
     return parse_config_text(path.read_text(), base_dir=str(path.parent))
+
+
+def meta_path(cfg, kind):
+    return experiment._layout(cfg.output_dir, kind)[1]
 
 
 def test_preprocess_writes_artifacts(tmp_path):
@@ -90,30 +96,30 @@ def test_distill_preflight_catches_missing_teachers(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path))
     experiment.stage_preprocess(cfg)
     with pytest.raises(experiment.StageError) as err:
-        experiment._run_stage("distill", experiment.stage_distill, cfg)
+        experiment.run_stage("distill", cfg)
     assert err.value.stage == "distill"
     # now train teachers but delete the checkpoint behind the meta file
     experiment.stage_teachers_from_disk(cfg)
-    ckpt = experiment._read_meta(experiment._teacher_meta_path(cfg.output_dir))[0]["ckpt"]
+    ckpt = experiment._read_records(meta_path(cfg, "teachers"))[0]["ckpt"]
     os.remove(ckpt)
     with pytest.raises(experiment.StageError):
-        experiment._run_stage("distill", experiment.stage_distill, cfg)
+        experiment.run_stage("distill", cfg)
     # no student outputs were produced by either failed attempt
-    assert not os.path.exists(experiment._student_meta_path(cfg.output_dir))
+    assert not os.path.exists(meta_path(cfg, "students"))
 
 
 def test_truncated_teacher_fails_distill_before_any_student_is_written(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path))
     experiment.stage_preprocess(cfg)
     experiment.stage_teachers_from_disk(cfg)
-    ckpt = experiment._read_meta(experiment._teacher_meta_path(cfg.output_dir))[0]["ckpt"]
+    ckpt = experiment._read_records(meta_path(cfg, "teachers"))[0]["ckpt"]
     data = Path(ckpt).read_bytes()
     Path(ckpt).write_bytes(data[:len(data) // 2])
     with pytest.raises(experiment.StageError, match="stage 'distill'"):
-        experiment._run_stage("distill", experiment.stage_distill, cfg)
-    students = experiment._student_dir(cfg.output_dir)
+        experiment.run_stage("distill", cfg)
+    students, _ = experiment._layout(cfg.output_dir, "students")
     assert not os.path.exists(students) or os.listdir(students) == []
-    assert not os.path.exists(experiment._student_meta_path(cfg.output_dir))
+    assert not os.path.exists(meta_path(cfg, "students"))
 
 
 def test_failed_stage_flags_status(tmp_path):
@@ -144,7 +150,7 @@ def test_default_teacher_stage_is_mode_m(tmp_path):
         cfg = load_cfg(tiny_config(tmp_path / name, extra=extra))
         experiment.stage_preprocess(cfg)
         experiment.stage_teachers_from_disk(cfg)
-        meta = experiment._read_meta(experiment._teacher_meta_path(cfg.output_dir))
+        meta = experiment._read_records(meta_path(cfg, "teachers"))
         outputs.append([({**row, "ckpt": os.path.relpath(row["ckpt"], cfg.output_dir),
                           "seconds": None}, Path(row["ckpt"]).read_bytes())
                         for row in meta])
@@ -157,8 +163,8 @@ def test_make_ensemble_mode_m_architectures(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path, extra=(
         "ensemble.mode = M\nensemble.teachers = deepfm,dcn,xdeepfm\n"
         "teacher.hidden = 6\nteacher.cross_layers = 2\nteacher.cin_maps = 3\n")))
-    art = experiment.stage_preprocess(cfg)
-    entries = experiment.make_ensemble(cfg, art)
+    experiment.stage_preprocess(cfg)
+    entries = experiment.stage_teachers_from_disk(cfg)
     assert [e["model"] for e in entries] == \
         ["teacher/deepfm", "teacher/dcn", "teacher/xdeepfm"]
     for e in entries:
@@ -170,8 +176,8 @@ def test_make_ensemble_mode_m_architectures(tmp_path):
 def test_make_ensemble_mode_m_seed_multiplier(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path, extra=(
         "ensemble.mode = M\nensemble.teachers = fm\nensemble.seeds = 5,6\n")))
-    art = experiment.stage_preprocess(cfg)
-    entries = experiment.make_ensemble(cfg, art)
+    experiment.stage_preprocess(cfg)
+    entries = experiment.stage_teachers_from_disk(cfg)
     assert len(entries) == 2
     a = persist.load(entries[0]["ckpt"])
     b = persist.load(entries[1]["ckpt"])
@@ -184,7 +190,7 @@ def test_make_ensemble_mode_d_partitions(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path, extra=(
         "ensemble.mode = D\nensemble.partitions = 3\n")))
     art = experiment.stage_preprocess(cfg)
-    entries = experiment.make_ensemble(cfg, art)
+    entries = experiment.stage_teachers_from_disk(cfg)
     assert len(entries) == 3
     parts = []
     for i in range(3):
@@ -208,12 +214,12 @@ def test_evaluate_adds_teacher_average_row(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path, extra=(
         "ensemble.mode = M\nensemble.teachers = fm,lr\n")))
     experiment.run(cfg)
-    rows = experiment._read_runs_csv(cfg.output_dir)
-    names = [r.model for r in rows]
+    rows = experiment._read_records(os.path.join(cfg.output_dir, "runs.csv"))
+    names = [r["model"] for r in rows]
     assert "teachers_avg" in names
-    t_rows = [r for r in rows if r.model.startswith("teacher/")]
-    avg = next(r for r in rows if r.model == "teachers_avg")
-    assert avg.auc == pytest.approx(np.mean([r.auc for r in t_rows]), abs=1e-12)
+    t_rows = [r for r in rows if r["model"].startswith("teacher/")]
+    avg = next(r for r in rows if r["model"] == "teachers_avg")
+    assert avg["auc"] == pytest.approx(np.mean([r["auc"] for r in t_rows]), abs=1e-12)
 
 
 def test_prediction_average_mode(tmp_path):
@@ -221,11 +227,11 @@ def test_prediction_average_mode(tmp_path):
         "ensemble.mode = M\nensemble.teachers = fm,lr\n"
         "report.ensemble_metric = prediction_average\n")))
     experiment.run(cfg)
-    rows = experiment._read_runs_csv(cfg.output_dir)
-    avg = next(r for r in rows if r.model == "teachers_avg")
-    t_rows = [r for r in rows if r.model.startswith("teacher/")]
+    rows = experiment._read_records(os.path.join(cfg.output_dir, "runs.csv"))
+    avg = next(r for r in rows if r["model"] == "teachers_avg")
+    t_rows = [r for r in rows if r["model"].startswith("teacher/")]
     # averaging predictions is not the same as averaging metrics
-    assert avg.auc != pytest.approx(np.mean([r.auc for r in t_rows]), abs=1e-12)
+    assert avg["auc"] != pytest.approx(np.mean([r["auc"] for r in t_rows]), abs=1e-12)
 
 
 @pytest.mark.parametrize("overrides, prefix", [
@@ -239,7 +245,7 @@ def test_kd_student_checkpoint_keeps_the_trained_extras(tmp_path, overrides, pre
     outdir = cfg.output_dir
     art = experiment.DataArtifacts.load(outdir)
     teachers = [persist.load(row["ckpt"]).build_model()
-                for row in experiment._read_meta(experiment._teacher_meta_path(outdir))]
+                for row in experiment._read_records(meta_path(cfg, "teachers"))]
     # the distill stage's pretrain run, repeated: KD-loss stop on merged train+val
     student = Model(cfg.student_spec, art.dims, seed=1)
     result = train_student_pretrain(student, teachers, cfg.distill,
@@ -254,7 +260,8 @@ def test_kd_student_checkpoint_keeps_the_trained_extras(tmp_path, overrides, pre
         assert ckpt.tensors[p.name].tobytes() == p.values.tobytes(), p.name
     loaded = ckpt.build_model(expected_fingerprint=art.fingerprint)
     assert all(loaded.state()[k].tobytes() == v.tobytes() for k, v in student.state().items())
-    evaluated = {row.model for row in experiment._read_runs_csv(outdir)}
+    runs = experiment._read_records(os.path.join(outdir, "runs.csv"))
+    evaluated = {row["model"] for row in runs}
     assert {"student_kd", *(f"teacher/{t}" for t in
                             overrides.get("ensemble.teachers", "fm").split(","))} <= evaluated
 
@@ -274,8 +281,8 @@ def test_cotrain_with_two_teachers_fails_before_any_student_is_trained(tmp_path)
     experiment.stage_teachers_from_disk(pretrain)
     cfg = load_cfg(tiny_config(tmp_path, extra="distill.scheme = cotrain\n"))
     with pytest.raises(experiment.StageError, match="exactly one teacher"):
-        experiment._run_stage("distill", experiment.stage_distill, cfg)
-    students = experiment._student_dir(cfg.output_dir)
+        experiment.run_stage("distill", cfg)
+    students, _ = experiment._layout(cfg.output_dir, "students")
     assert not os.path.exists(students) or os.listdir(students) == []
 
 
@@ -288,13 +295,57 @@ def test_cli_full_cycle(tmp_path, capsys):
     assert "baseline" in out
 
 
+def test_cli_verbs_print_pinned_lines(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    out = str(tmp_path / "out")
+
+    def verb(*argv):
+        assert cli.main([argv[0], "-c", str(cfg_path), *argv[1:]]) == 0, argv
+        return capsys.readouterr().out.splitlines()
+
+    [encoded] = verb("preprocess")
+    sizes = re.fullmatch(r"encoded (\d+)/(\d+)/(\d+) rows \(train/val/test\) into (.+)",
+                         encoded)
+    assert sum(map(int, sizes.groups()[:3])) == 600 and sizes[4] == out
+    # the two "trained" formats differ: a teacher's seed is in parentheses
+    teacher = [f"trained teacher/fm (seed 100) -> {out}/teachers/fm.ckpt"]
+    assert verb("train-teacher") == teacher
+    assert verb("make-ensemble", "--set", "ensemble.mode=M") == teacher
+    assert verb("distill") == [f"trained {m} seed 1 -> {out}/students/{m}-s1.ckpt"
+                               for m in ("student_plain", "student_kd")]
+    scored = [re.fullmatch(r"(\S+) seed (\d+): auc=0\.\d{4} logloss=\d\.\d{4}", line)
+              for line in verb("evaluate")]
+    assert [m.groups() for m in scored] == \
+        [("teacher/fm", "100"), ("student_plain", "1"), ("student_kd", "1")]
+    table = verb("report")
+    assert table == (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert table[0].split() == ["model", "seeds", "AUC", "(mean+/-std)", "logloss",
+                                "(mean+/-std)", "dAUC", "permille", "dLL", "permille"]
+    assert [line.split()[0] for line in table[2:-1]] == \
+        ["teacher/fm", "student_plain", "student_kd"]
+    assert table[-1] == "* baseline; deltas are (model - baseline) x 1000"
+    assert verb("run") == table
+
+
+def test_records_read_back_as_written(tmp_path):
+    cfg = load_cfg(tiny_config(tmp_path))
+    experiment.stage_preprocess(cfg)
+    teachers = experiment.stage_teachers_from_disk(cfg)
+    students = experiment.stage_distill(cfg)
+    runs = experiment.stage_evaluate(cfg)
+    assert experiment._read_records(meta_path(cfg, "teachers")) == teachers
+    assert experiment._read_records(meta_path(cfg, "students")) == students
+    assert [ReportRow(**r) for r in experiment._read_records(
+        os.path.join(cfg.output_dir, "runs.csv"))] == runs
+
+
 def test_cli_run_and_overrides(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     # a key repeated across --set flags takes its last value
     assert cli.main(["run", "-c", str(cfg_path), "--set", "train.seeds=1,1",
                      "--set", " train.seeds = 4 "]) == 0
-    meta = experiment._read_meta(str(tmp_path / "out" / "students_meta.csv"))
-    assert {int(r["seed"]) for r in meta} == {4}
+    meta = experiment._read_records(str(tmp_path / "out" / "students_meta.csv"))
+    assert {r["seed"] for r in meta} == {4}
 
 
 def test_cli_error_paths(tmp_path, capsys):
