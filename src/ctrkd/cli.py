@@ -18,6 +18,9 @@ from .config import ConfigError, load_config, parse_kv
 _VERB_STAGES = {"preprocess": "preprocess", "train-teacher": "teachers",
                 "make-ensemble": "teachers", "distill": "distill",
                 "evaluate": "evaluate", "report": "report"}
+# the keys without a default that a verb reads
+_VERB_NEEDS = {"preprocess": "data.path", "run": "data.path",
+               "make-ensemble": "ensemble.mode"}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -43,8 +46,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--set expects one key=value, got {pair!r}")
             overrides.update(kv)
         cfg = load_config(args.config, overrides)
-        if args.verb == "make-ensemble" and "ensemble.mode" not in cfg.values:
-            raise ConfigError("make-ensemble needs ensemble.mode = M or D")
+        need = _VERB_NEEDS.get(args.verb)
+        if need is not None and cfg.get(need) is None:
+            raise ConfigError(f"{args.verb} needs {need}")
         stage = _VERB_STAGES.get(args.verb)
         result = experiment.run(cfg) if stage is None else experiment.run_stage(stage, cfg)
         if stage == "preprocess":

@@ -67,6 +67,12 @@ def _choice(*allowed: str):
     return parse
 
 
+def _non_empty(raw: str) -> str:
+    if raw == "":
+        raise ValueError("expected a non-empty value")
+    return raw
+
+
 def _non_negative(raw: str) -> int:
     value = int(raw)
     if value < 0:
@@ -132,7 +138,7 @@ def _model_keys(side: str, model: str) -> dict[str, tuple]:
 # the parsed values unless the config or its format recipe sets it
 KEYS: dict[str, tuple] = {
     # data
-    "data.path": (str, None),
+    "data.path": (_non_empty, None),
     "data.format": (_choice("generic", "criteo", "avazu"), "generic"),
     "data.delimiter": (_choice("tab", "comma"), "tab"),
     "data.label_column": (_non_negative, "0"),
@@ -162,8 +168,8 @@ KEYS: dict[str, tuple] = {
     "train.seeds": (_seeds, "1"),
     "train.kd_monitor_rows": (int, "8192"),
     "train.teacher_seed": (_non_negative, "100"),
-    # ensemble generation; without ensemble.mode the teacher stage is mode M
-    # over teacher.model and train.teacher_seed
+    # ensemble generation; no ensemble.mode means mode M, whose teachers
+    # default to teacher.model at train.teacher_seed
     "ensemble.mode": (_choice("M", "D"), None),
     "ensemble.teachers": (_strs, None),
     "ensemble.seeds": (_non_negatives, None),
@@ -250,7 +256,7 @@ class ExperimentConfig:
             ("method", "tau", "beta", "gamma", "gating")})
         self.student_spec = self._spec("student", self["student.model"])
         self.teachers = self._teachers()
-        self._validate()
+        self._validate(raw)
 
     def _spec(self, side: str, preset: str) -> ModelSpec:
         """``preset`` built with the ``side``'s shape keys."""
@@ -274,8 +280,8 @@ class ExperimentConfig:
                     for seed in seeds]
         return [(name, self._spec("teacher", preset), seed) for name, preset, seed in runs]
 
-    def _validate(self):
-        """The rules that span several keys."""
+    def _validate(self, given: dict[str, str]):
+        """The rules that span several keys; ``given`` holds the keys the config sets."""
         if (self["distill.scheme"] == PRETRAIN and self.distill.method == HINT
                 and self.distill.beta == 0.0 and self["distill.stop"] == "kd_loss"):
             raise ConfigError("hint distillation with distill.beta = 0 has no KD loss "
@@ -284,7 +290,13 @@ class ExperimentConfig:
         if baseline == PLAIN_STUDENT and not self["report.include_plain_student"]:
             raise ConfigError("report.baseline = student_plain needs "
                               "report.include_plain_student = true")
-        if self.get("ensemble.mode") == "D" and self["ensemble.partitions"] < 2:
+        mode = self.get("ensemble.mode") or "M"
+        ignored = (("ensemble.teachers", "ensemble.seeds") if mode == "D"
+                   else ("ensemble.partitions", "ensemble.partition_seed"))
+        stray = [key for key in ignored if key in given]
+        if stray:
+            raise ConfigError(f"ensemble.mode = {mode} ignores {', '.join(stray)}")
+        if mode == "D" and self["ensemble.partitions"] < 2:
             raise ConfigError("ensemble.mode = D needs ensemble.partitions >= 2")
         names = [name for name, _, _ in self.teachers]
         repeated = sorted({name for name in names if names.count(name) > 1})

@@ -207,21 +207,17 @@ def stage_distill(cfg: ExperimentConfig) -> list[dict]:
                                         PLAIN_STUDENT, cfg.student_spec, seed,
                                         art.train, art.val))
         student = Model(cfg.student_spec, art.dims, seed=seed)
-        extras = {}
         if scheme == COTRAIN:
             co_teacher = Model(teachers[0].spec, art.dims, seed=cfg["train.teacher_seed"])
-            _, record = train_student_cotrain(co_teacher, student, cfg.distill, art.train,
+            _, result = train_student_cotrain(co_teacher, student, cfg.distill, art.train,
                                               cfg.hyper, seed=seed)
         else:
             result = train_student_pretrain(student, teachers, cfg.distill, kd_train,
                                             cfg.hyper, seed=seed, val_data=kd_val,
                                             stop_mode=stop_mode)
-            record = result.record
-            for part in [result.gate, *(result.projectors or [])]:
-                if part is not None:
-                    extras.update({p.name: p.values for p in part.parameters()})
         rows.append(_save_trained(directory, f"{KD_STUDENT}-s{seed}", KD_STUDENT, student,
-                                  seed, record, art.fingerprint, extras))
+                                  seed, result.record, art.fingerprint,
+                                  {p.name: p.values for p in result.parts}))
     _write_csv(meta_path, META_FIELDS, rows)
     return rows
 

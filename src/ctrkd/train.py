@@ -334,65 +334,57 @@ def train_teacher(model: Model, train_data: EncodedDataset, hyper: TrainHyper,
     return record
 
 
-def _teacher_outputs(teachers: list[Model], cat, num):
-    """Detached per-teacher logits and hints: one inference call per teacher."""
-    outputs = [t.hint_values(cat, num) for t in teachers]
-    return [z for z, _ in outputs], [h for _, h in outputs]
-
-
-def _kd_term(dcfg: DistillConfig, teacher_logits, teacher_hints,
-             student_logit: Tensor, student_hint: Tensor,
-             gate: TeacherGate | None, projectors: list[HintProjector] | None) -> Tensor:
-    if dcfg.method == KD.SOFT_LABEL:
-        m = len(teacher_logits)
-        alphas = KD.gate_weights(teacher_logits, gate) if gate is not None else [1.0 / m] * m
-        ensemble = KD.ensemble_teacher_logit(teacher_logits, alphas)
-        return KD.soft_label_loss(ensemble, student_logit, dcfg.tau)
-    # hint regression: uniform average of per-teacher hint losses
-    total = None
-    for hint, proj in zip(teacher_hints, projectors):
-        term = KD.hint_loss(hint, student_hint, proj)
-        total = term if total is None else T.add(total, term)
-    return total if len(teacher_hints) == 1 else T.mul(total, 1.0 / len(teacher_hints))
-
-
 def _student_objective(student: Model, teachers: list[Model], dcfg: DistillConfig,
                        hyper: TrainHyper, seed: int):
-    """CE plus the KD term against the teachers' detached outputs; returns
-    the objective with the gate and hint projectors it trains."""
+    """CE plus the KD term against the teachers' detached outputs; returns the
+    objective, the term ``kd(cat, num, student_logit, student_hint)`` and the
+    gate's then the hint projectors' parameters, trained with the student."""
+    for t in teachers:
+        if t.dims != student.dims:
+            raise ValueError("teacher and student were built for different field schemas")
     # beta = 0 skips the KD term, so the gate/projectors would never see a
     # gradient; leave them out to keep the trajectory identical to plain CE
-    gate = TeacherGate(len(teachers)) if dcfg.gating and dcfg.beta > 0.0 else None
-    projectors = None
+    m = len(teachers)
+    gate = TeacherGate(m) if dcfg.gating and dcfg.beta > 0.0 else None
+    projectors = []
     if dcfg.method == KD.HINT and dcfg.beta > 0.0:
         proj_rng = np.random.default_rng(np.random.SeedSequence([_PROJECTOR_TAG, seed]))
         projectors = [HintProjector(t.hint_dim, student.hint_dim, rng=proj_rng,
                                     name=f"hintproj.{i}")
                       for i, t in enumerate(teachers)]
-    params = student.parameters()
-    if gate is not None:
-        params += gate.parameters()
-    for proj in projectors or ():
-        params += proj.parameters()
+    parts = [p for part in [gate, *projectors] if part is not None for p in part.parameters()]
+
+    def kd(cat, num, student_logit: Tensor, student_hint: Tensor) -> Tensor:
+        outputs = [t.hint_values(cat, num) for t in teachers]  # one call per teacher
+        if dcfg.method == KD.SOFT_LABEL:
+            logits = [z for z, _ in outputs]
+            alphas = KD.gate_weights(logits, gate) if gate is not None else [1.0 / m] * m
+            ensemble = KD.ensemble_teacher_logit(logits, alphas)
+            return KD.soft_label_loss(ensemble, student_logit, dcfg.tau)
+        # hint regression: uniform average of per-teacher hint losses
+        total = None
+        for (_, hint), proj in zip(outputs, projectors):
+            term = KD.hint_loss(hint, student_hint, proj)
+            total = term if total is None else T.add(total, term)
+        return total if m == 1 else T.mul(total, 1.0 / m)
 
     def loss(batch: Batch, rng: np.random.Generator) -> Tensor:
         s_logit, s_hint = student.forward(batch.cat, batch.num, training=True, rng=rng)
-        kd = None  # beta = 0: skip teacher inference entirely
-        if dcfg.beta != 0.0:
-            z_list, h_list = _teacher_outputs(teachers, batch.cat, batch.num)
-            kd = _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate, projectors)
-        return KD.student_loss(batch.labels, s_logit, kd, dcfg.beta, dcfg.gamma)
+        # beta = 0: skip teacher inference entirely
+        term = kd(batch.cat, batch.num, s_logit, s_hint) if dcfg.beta != 0.0 else None
+        return KD.student_loss(batch.labels, s_logit, term, dcfg.beta, dcfg.gamma)
 
-    objective = _Objective(loss, Adam(params, lr=hyper.lr), student.embedding_parameters(),
-                           _dropout_rng(seed, STUDENT_ROLE))
-    return objective, gate, projectors
+    objective = _Objective(loss, Adam(student.parameters() + parts, lr=hyper.lr),
+                           student.embedding_parameters(), _dropout_rng(seed, STUDENT_ROLE))
+    return objective, kd, parts
 
 
 @dataclass
 class DistillResult:
+    """A KD student's record and the gate's then projectors' parameters it trained."""
+
     record: TrainRecord
-    gate: TeacherGate | None
-    projectors: list[HintProjector] | None
+    parts: list[Tensor]
 
 
 def train_student_pretrain(student: Model, teachers: list[Model],
@@ -406,9 +398,6 @@ def train_student_pretrain(student: Model, teachers: list[Model],
     use them as extra training signal)."""
     if not teachers:
         raise ValueError("pretrain distillation needs at least one trained teacher")
-    for t in teachers:
-        if t.dims != student.dims:
-            raise ValueError("teacher and student were built for different field schemas")
     if stop_mode not in (KD_LOSS_MIN, VAL_AUC_MAX):
         raise ValueError(f"unknown stop mode {stop_mode!r}")
     if stop_mode == VAL_AUC_MAX and val_data is None:
@@ -417,7 +406,7 @@ def train_student_pretrain(student: Model, teachers: list[Model],
         raise ValueError("hint distillation with beta = 0 has no KD loss to stop on "
                          "(no hint projectors are trained); use val_auc_max stopping")
 
-    objective, gate, projectors = _student_objective(student, teachers, dcfg, hyper, seed)
+    objective, kd, parts = _student_objective(student, teachers, dcfg, hyper, seed)
     if stop_mode == KD_LOSS_MIN:
         def measure(epoch: int) -> float:
             # unlabeled monitoring slice of training inputs, refreshed per epoch
@@ -428,31 +417,28 @@ def train_student_pretrain(student: Model, teachers: list[Model],
             # a value only: no graph over the slice, for the student, the
             # gate or the projectors
             with T.no_grad():
-                z_list, h_list = _teacher_outputs(teachers, cat, num)
                 s_logit, s_hint = student.forward(cat, num, training=False)
-                return _kd_term(dcfg, z_list, h_list, s_logit, s_hint, gate,
-                                projectors).item()
+                return kd(cat, num, s_logit, s_hint).item()
     else:
         measure = _val_auc(student, val_data)
     [record] = _fit([objective], train_data, hyper, seed, stop_mode, measure)
-    return DistillResult(record, gate, projectors)
+    return DistillResult(record, parts)
 
 
 def train_student_cotrain(teacher: Model, student: Model, dcfg: DistillConfig,
                           train_data: EncodedDataset, hyper: TrainHyper,
-                          seed: int, on_step=None) -> tuple[TrainRecord, TrainRecord]:
+                          seed: int, on_step=None) -> tuple[TrainRecord, DistillResult]:
     """Joint loop with one teacher: each batch, the teacher steps on its own
     BCE, then the student steps against the freshly updated teacher's
     detached inference outputs. The teacher's trajectory is bit-identical
-    to a standalone run at the same seed and batch order.
+    to a standalone run at the same seed and batch order. Returns the
+    teacher's record and the student's ``DistillResult``.
 
     ``on_step(epoch, step)`` fires after both optimizer updates of a batch;
     the student's update leaves the teacher's parameters untouched."""
-    if teacher.dims != student.dims:
-        raise ValueError("teacher and student were built for different field schemas")
     if dcfg.gating:
         raise ValueError("cotrain trains no teacher gate; use a config with gating=False")
-    student_objective, _, _ = _student_objective(student, [teacher], dcfg, hyper, seed)
+    student_objective, _, parts = _student_objective(student, [teacher], dcfg, hyper, seed)
     t_record, s_record = _fit([_bce_objective(teacher, hyper, seed), student_objective],
                               train_data, hyper, seed, on_step=on_step)
-    return t_record, s_record
+    return t_record, DistillResult(s_record, parts)

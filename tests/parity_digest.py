@@ -65,12 +65,7 @@ def _digest(params, records) -> str:
 
 
 def _distill_params(student, result):
-    params = student.parameters()
-    if result.gate is not None:
-        params += result.gate.parameters()
-    for proj in result.projectors or ():
-        params += proj.parameters()
-    return params
+    return student.parameters() + result.parts
 
 
 def runs():
@@ -120,9 +115,10 @@ def runs():
     for name, dcfg in cotrain:
         teacher = Model(spec_from_preset("deepfm", **SHAPE), dims, seed=60)
         student = Model(student_spec, dims, seed=61)
-        records = train_student_cotrain(teacher, student, dcfg, train, HYPER, seed=61)
+        t_record, result = train_student_cotrain(teacher, student, dcfg, train, HYPER,
+                                                 seed=61)
         yield f"cotrain/{name}", _digest(teacher.parameters() + student.parameters(),
-                                         records)
+                                         [t_record, result.record])
 
 
 BIG_TASK = SyntheticSpec(n_cat=8, vocab=4000, n_num=2, latent_dim=3)

@@ -106,3 +106,38 @@ def test_cli_run_opens_one_span_per_stage(tmp_path):
     assert [n for n in names if n.startswith("experiment.")] == \
         [f"experiment.{stage}" for stage in spans.STAGES.values()]
     assert names.count("data.read_rows") == 1
+
+
+def test_untraced_call_log_counts_match_the_bench_formulas(monkeypatch):
+    # an untraced benchmark run installs only workloads.CallLog, which binds
+    # the training calls' parameters by name and reads DistillResult.record
+    import workloads
+
+    # CallLog has no uninstall; monkeypatch puts back every attribute it wraps
+    for mod in (ctrkd.train, ctrkd.experiment):
+        for fn in ("train_teacher", "train_student_pretrain"):
+            monkeypatch.setattr(mod, fn, getattr(mod, fn))
+    monkeypatch.setattr(ctrkd.experiment, "stage_preprocess",
+                        ctrkd.experiment.stage_preprocess)
+    ds, _ = synthetic_dataset(1000, seed=0)
+    dims = FieldDims((50,) * 6, 2)
+    train, val = ds.subset(np.arange(900)), ds.subset(np.arange(900, 1000))
+    # patience = max_epochs: the monitors run but cannot cut the epoch budget
+    hyper = TrainHyper(lr=3e-3, batch_size=400, max_epochs=2, patience=2,
+                       kd_monitor_rows=300)
+    teacher = Model(ModelSpec.deepfm((8,), embedding_dim=4), dims, seed=1)
+    student = Model(ModelSpec.dnn((8,), embedding_dim=4), dims, seed=2)
+    dcfg = DistillConfig(tau=1.0, beta=0.5, gamma=0.5, gating=True)
+
+    log = workloads.CallLog()
+    log.install()
+    ctrkd.train.train_teacher(teacher, train, hyper, 1, val_data=val)
+    ctrkd.train.train_student_pretrain(student, [teacher], dcfg, train, hyper, 2)
+
+    epochs, rows = hyper.max_epochs, len(train)
+    batches = epochs * math.ceil(rows / hyper.batch_size)
+    assert [(c.kind, c.model, c.rows, c.epochs, c.budget, c.batches, c.teacher_rows,
+             c.finite) for c in log.calls] == [
+        ("teacher", "deepfm", rows, epochs, epochs, batches, 0, True),
+        ("kd", "dnn", rows, epochs, epochs, batches,
+         epochs * 1 * (rows + hyper.kd_monitor_rows), True)]

@@ -279,6 +279,14 @@ PARSE_TIME_REFUSALS = {
     "repeated-teacher": ("ensemble.mode = M\nensemble.teachers = fm,fm", [],
                          "listed more than once"),
     "unreported-baseline": ("report.baseline = teacher/dcn", [], "not a model this run"),
+    "mode-d-teachers": ("ensemble.mode = D\nensemble.partitions = 2\n"
+                        "ensemble.teachers = dcn,fm", [], "ensemble.mode = D ignores"),
+    "mode-d-seeds": ("ensemble.mode = D\nensemble.partitions = 2",
+                     ["--set", "ensemble.seeds=3,4"], "ensemble.mode = D ignores ensemble.seeds"),
+    "partitions-without-mode": ("ensemble.partitions = 5", [],
+                                "ensemble.mode = M ignores ensemble.partitions"),
+    "partition-seed-mode-m": ("ensemble.mode = M\nensemble.partition_seed = 7", [],
+                              "ensemble.mode = M ignores ensemble.partition_seed"),
     "set-bad-value": ("", ["--set", "data.format=parquet"], "expected one of"),
     "set-no-equals": ("", ["--set", "train.lr"], "--set expects one key=value"),
     "set-empty": ("", ["--set", ""], "--set expects one key=value"),
@@ -297,3 +305,18 @@ def test_cli_run_refuses_at_parse_time(tmp_path, capsys, lines, flags, error):
     assert error in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+@pytest.mark.parametrize("verb", ["run", "preprocess"])
+@pytest.mark.parametrize("flags, error", [([], "needs data.path"),
+                                          (["--set", "data.path="], "bad value for data.path")],
+                         ids=["absent", "empty"])
+def test_cli_refuses_a_config_without_data_path(tmp_path, capsys, verb, flags, error):
+    write_synthetic_file(tmp_path / "data.txt", 200, seed=1)
+    text = MINIMAL.replace("data.path = data.txt\n", "")
+    # the later verbs never read the key, so parsing does not require it
+    assert parse_config_text(text).get("data.path") is None
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert cli.main([verb, "-c", str(path), *flags]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -11,7 +11,7 @@ from ctrkd.data import EncodedDataset
 from ctrkd.models import Model
 from ctrkd.report import ReportRow
 from ctrkd.synth import SyntheticSpec, write_synthetic_file
-from ctrkd.train import KD_LOSS_MIN, train_student_pretrain
+from ctrkd.train import KD_LOSS_MIN, train_student_cotrain, train_student_pretrain
 
 TINY = SyntheticSpec(n_cat=4, vocab=12, n_num=2, latent_dim=2)
 
@@ -238,7 +238,9 @@ def test_prediction_average_mode(tmp_path):
     ({"ensemble.mode": "M", "ensemble.teachers": "fm,xdeepfm", "distill.gating": "true"},
      "gate."),
     ({"distill.method": "hint", "distill.beta": "0.001", "distill.gamma": "1"}, "hintproj."),
-], ids=["gated-fm-xdeepfm", "hint"])
+    ({"distill.scheme": "cotrain", "distill.method": "hint", "distill.beta": "0.001",
+      "distill.gamma": "1"}, "hintproj."),
+], ids=["gated-fm-xdeepfm", "hint", "cotrain-hint"])
 def test_kd_student_checkpoint_keeps_the_trained_extras(tmp_path, overrides, prefix):
     cfg = load_config(tiny_config(tmp_path), overrides)
     experiment.run(cfg)
@@ -246,13 +248,21 @@ def test_kd_student_checkpoint_keeps_the_trained_extras(tmp_path, overrides, pre
     art = experiment.DataArtifacts.load(outdir)
     teachers = [persist.load(row["ckpt"]).build_model()
                 for row in experiment._read_records(meta_path(cfg, "teachers"))]
-    # the distill stage's pretrain run, repeated: KD-loss stop on merged train+val
     student = Model(cfg.student_spec, art.dims, seed=1)
-    result = train_student_pretrain(student, teachers, cfg.distill,
-                                    EncodedDataset.concatenate([art.train, art.val]),
-                                    cfg.hyper, seed=1, stop_mode=KD_LOSS_MIN)
-    trained = [p for part in [result.gate, *(result.projectors or [])] if part is not None
-               for p in part.parameters()]
+    if cfg["distill.scheme"] == "cotrain":
+        # the distill stage's cotrain run, repeated: a fresh teacher beside
+        # the student on the train split
+        co_teacher = Model(teachers[0].spec, art.dims, seed=cfg["train.teacher_seed"])
+        _, result = train_student_cotrain(co_teacher, student, cfg.distill, art.train,
+                                          cfg.hyper, seed=1)
+    else:
+        # the distill stage's pretrain run, repeated: KD-loss stop on merged
+        # train+val
+        result = train_student_pretrain(student, teachers, cfg.distill,
+                                        EncodedDataset.concatenate([art.train, art.val]),
+                                        cfg.hyper, seed=1, stop_mode=KD_LOSS_MIN)
+    trained = result.parts
+    assert trained, "the run trains no gate or projector"
     ckpt = persist.load(os.path.join(outdir, "students", "student_kd-s1.ckpt"))
     assert sorted(name for name in ckpt.tensors if name.startswith(prefix)) == \
         sorted(p.name for p in trained)

@@ -409,8 +409,10 @@ def test_single_teacher_gating_equals_no_gating_trajectory():
             np.testing.assert_array_equal(gated[name], plain[name])
         assert trace(res_g.record) == trace(res_p.record)
         # the single-teacher gate stays at its neutral initialization
-        np.testing.assert_array_equal(res_g.gate.w[0].values, [[1.0]])
-        np.testing.assert_array_equal(res_g.gate.b[0].values, [[0.0]])
+        assert [p.name for p in res_g.parts] == ["gate.w.0", "gate.b.0"]
+        np.testing.assert_array_equal(res_g.parts[0].values, [[1.0]])
+        np.testing.assert_array_equal(res_g.parts[1].values, [[0.0]])
+        assert res_p.parts == []
 
 
 def test_hint_distillation_trains_projector():
@@ -426,14 +428,15 @@ def test_hint_distillation_trains_projector():
         return student.state(), res
 
     state, res = distill()
-    proj = res.projectors[0]
-    assert proj.w.shape == (5, 6)  # student dim x teacher dim
-    assert not np.array_equal(proj.w.values, np.zeros((5, 6)))
+    [proj] = res.parts
+    assert proj.name == "hintproj.0.w"
+    assert proj.shape == (5, 6)  # student dim x teacher dim
+    assert not np.array_equal(proj.values, np.zeros((5, 6)))
     # a rerun is bitwise identical, projector and trace included
     state2, res2 = distill()
     for name in state:
         np.testing.assert_array_equal(state[name], state2[name])
-    np.testing.assert_array_equal(proj.w.values, res2.projectors[0].w.values)
+    np.testing.assert_array_equal(proj.values, res2.parts[0].values)
     assert trace(res.record) == trace(res2.record)
 
 
@@ -449,7 +452,8 @@ def test_hint_distillation_from_heterogeneous_teachers():
     res = train_student_pretrain(student, [t1, t2],
                                  DistillConfig(method="hint", beta=1e-3, gamma=1.0),
                                  ds, TrainHyper(max_epochs=2, patience=None), seed=3)
-    assert [p.w.shape for p in res.projectors] == [(5, 6), (5, 4)]
+    assert [(p.name, p.shape) for p in res.parts] == [("hintproj.0.w", (5, 6)),
+                                                      ("hintproj.1.w", (5, 4))]
 
 
 def test_cotrain_teacher_bitwise_equals_standalone():
