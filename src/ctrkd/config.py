@@ -181,7 +181,7 @@ KEYS: dict[str, tuple] = {
     "report.ensemble_metric": (_choice("metric_average", "prediction_average"),
                                "metric_average"),
     # output
-    "output.dir": (str, "runs/default"),
+    "output.dir": (_non_empty, "runs/default"),
     **_model_keys("teacher", "deepfm"),
     **_model_keys("student", "dnn"),
 }

@@ -11,6 +11,13 @@ embedding tables:
 Numeric features feed the MLP and CrossNet as raw (already transformed)
 scalars; FM and CIN need field vectors, so each numeric field gets a
 learned d-dimensional projection of its scalar value.
+
+DNN, wide&deep and DCN gather their MLP and CrossNet input row with one
+``tensor.field_row`` node per batch; DCN's two parts share it. FM and CIN
+read each field's vector on its own, so DeepFM and xDeepFM gather each
+field with ``tensor.rows`` and concatenate the vectors for their MLP:
+whole-tensor FM and CIN ops over one (B, F, d) view were slower at
+prediction, used more memory and changed the trained bits.
 """
 from __future__ import annotations
 
@@ -270,8 +277,7 @@ class Model:
             raise ValueError(f"expected num of shape (B, {self.dims.n_numeric})")
         if cat.shape[0] != num.shape[0]:
             raise ValueError("cat and num batch sizes differ")
-        embeds = [T.rows(table, cat[:, i]) for i, table in enumerate(self.embeddings)]
-        return cat, num, embeds
+        return cat, num
 
     def _field_vectors(self, embeds, num):
         """Per-field d-dim vectors for FM/CIN: embeddings + projected numerics."""
@@ -302,15 +308,18 @@ class Model:
         return logit, pair
 
     def _concat(self, num, embeds):
-        """The CrossNet and MLP input: every field's embedding, then the raw
-        numerics."""
+        """The MLP input of DeepFM and xDeepFM: every field's embedding, then
+        the raw numerics."""
         parts = list(embeds)
         if self.dims.n_numeric:
             parts.append(Tensor(num))
         return T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
 
-    def _cross(self, num, embeds):
-        x0 = self._concat(num, embeds)
+    def _cross(self, row):
+        # A no-op node in front of the cross layers sums their adjoint terms
+        # before the deep part's term joins them: the order in which the
+        # tables' gradients add the two parts is part of the trained bits.
+        x0 = T.reshape(row, row.shape)
         x = x0
         for w, b in zip(self.cross_w, self.cross_b):
             # x_{l+1} = x0 * (x_l . w_l) + b_l + x_l
@@ -334,8 +343,7 @@ class Model:
         logit = T.linear(vec, self.cin_head_w, self.cin_head_b)
         return logit, vec
 
-    def _deep(self, num, embeds, training, rng):
-        x = self._concat(num, embeds)
+    def _deep(self, x, training, rng):
         for w, b in self.mlp:
             x = T.relu(T.linear(x, w, b))
             if self.spec.dropout > 0.0:
@@ -347,19 +355,26 @@ class Model:
                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """Logit = wide + deep; hint = last hidden activation when a deep
         part exists, else the wide part's pre-head vector."""
-        cat, num, embeds = self._inputs(cat, num)
+        cat, num = self._inputs(cat, num)
+        wide = self.spec.wide
+        if wide in ("fm", "cin"):
+            embeds = [T.rows(table, cat[:, i]) for i, table in enumerate(self.embeddings)]
+        elif self.spec.needs_embeddings:
+            row = T.field_row(self.embeddings, cat, num)
         parts = []  # (logit, vector) of the wide part, then of the deep part
-        if self.spec.wide == "lr":
+        if wide == "lr":
             linear = self._linear_logit(cat, num)
             parts.append((linear, linear))
-        elif self.spec.wide == "fm":
+        elif wide == "fm":
             parts.append(self._fm(cat, num, embeds))
-        elif self.spec.wide == "cross":
-            parts.append(self._cross(num, embeds))
-        elif self.spec.wide == "cin":
+        elif wide == "cross":
+            parts.append(self._cross(row))
+        elif wide == "cin":
             parts.append(self._cin(num, embeds))
         if self.spec.deep:
-            parts.append(self._deep(num, embeds, training, rng))
+            if wide in ("fm", "cin"):
+                row = self._concat(num, embeds)
+            parts.append(self._deep(row, training, rng))
         logit = parts[0][0] if len(parts) == 1 else T.add(parts[0][0], parts[1][0])
         return logit, parts[-1][1]
 

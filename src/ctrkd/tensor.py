@@ -14,9 +14,10 @@ Only leaves (tensors no op produced, such as parameters) keep a ``.grad``;
 an intermediate adjoint is handed to the op's inputs and then dropped.
 
 ``rows`` gathers from a table whose adjoint is mostly zero when the
-vocabulary dwarfs the batch. When the table has at least twice as many rows
-as there are indices, the adjoint is a ``RowGrad``: the sorted touched rows
-and their summed gradients. A leaf that has no gradient yet keeps it as
+vocabulary dwarfs the batch, and ``field_row`` gathers one such table per
+field into one row. When a table has at least twice as many rows as there
+are indices, its adjoint is a ``RowGrad``: the sorted touched rows and
+their summed gradients. A leaf that has no gradient yet keeps it as
 ``row_grad``, which ``train.Adam`` reads without building the dense
 table-sized array. Everything else densifies it first: a second backward
 into the same leaf, two adjoints meeting at one node, a table an op
@@ -32,6 +33,7 @@ Shape discipline is deliberately strict: elementwise ops accept equal
 shapes or a size-1 operand, nothing else. Structural ops (``concat``,
 ``reshape``, ...) make every shape change explicit; the fused ops
 ``linear`` and ``cross_layer`` add a (1, width) bias row to every row.
+Gathers check every index first and raise ``IndexError`` naming it.
 """
 from __future__ import annotations
 
@@ -463,25 +465,30 @@ def _scatter_add(index: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     return out.astype(np.float64, copy=False).reshape(n_rows, width)
 
 
-def rows(table, indices) -> Tensor:
-    """Gather rows of a 2-d table; backward scatter-adds into the table.
-
-    A table with at least twice as many rows as indices gets a ``RowGrad``
-    adjoint, any other table the dense scatter. Each touched row sums the
-    same terms in the same order from +0.0 either way, so the two agree bit
-    for bit.
-    """
-    table = as_tensor(table)
-    if table.ndim != 2:
-        raise ValueError(f"rows expects a 2-d table, got shape {table.shape}")
+def _checked_index(indices, n_rows: int, where: str) -> np.ndarray:
+    """``indices`` as a 1-d integer array, every entry a row of an
+    ``n_rows``-row table. Checked before anything is gathered: ``np.take``
+    would wrap a negative index round to the table's end."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise ValueError("rows expects a 1-d integer index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"row index out of range for table with {table.shape[0]} rows")
+        raise ValueError(f"{where} needs a 1-d integer index array")
+    if idx.size:
+        low, high = idx.min(), idx.max()
+        if low < 0 or high >= n_rows:
+            bad = low if low < 0 else high
+            position = int(np.argmax(idx == bad))
+            raise IndexError(f"{where}: index {bad} at position {position} is out of "
+                             f"range for a table of {n_rows} rows")
+    return idx
 
-    n_rows = table.shape[0]
 
+def _scatter(idx: np.ndarray, n_rows: int) -> Adjoint:
+    """The adjoint of gathering rows ``idx`` from an ``n_rows``-row table.
+
+    A table with at least twice as many rows as indices gets a ``RowGrad``,
+    any other table the dense scatter. Each touched row sums the same terms
+    in the same order from +0.0 either way, so the two agree bit for bit.
+    """
     def adjoint(g):
         if 2 * idx.size > n_rows:
             return _scatter_add(idx, g, n_rows)
@@ -492,7 +499,57 @@ def rows(table, indices) -> Tensor:
         slot[touched] = np.arange(touched.size)
         return RowGrad(touched, _scatter_add(slot[idx], g, touched.size))
 
-    return _from_op(table.values[idx], "rows", (table, adjoint))
+    return adjoint
+
+
+def _check_table(table: Tensor, op: str) -> None:
+    if table.ndim != 2:
+        raise ValueError(f"{op} expects a 2-d table, got shape {table.shape}")
+
+
+def rows(table, indices) -> Tensor:
+    """Gather rows of a 2-d table; backward scatter-adds into the table."""
+    table = as_tensor(table)
+    _check_table(table, "rows")
+    idx = _checked_index(indices, table.shape[0], "rows")
+    return _from_op(np.take(table.values, idx, axis=0), "rows",
+                    (table, _scatter(idx, table.shape[0])))
+
+
+def field_row(tables, cat, num) -> Tensor:
+    """One input row per example: field i's row ``cat[:, i]`` of ``tables[i]``
+    in its own column slice, then the numeric columns ``num``.
+
+    It is one node for what per-field ``rows`` and a ``concat`` compute, and
+    each table's adjoint is the scatter ``rows`` gives that table's column
+    slice of the output's adjoint, so values and gradients agree bit for bit.
+    """
+    tables = [as_tensor(t) for t in tables]
+    cat = np.asarray(cat)
+    num = np.asarray(num, dtype=np.float64)
+    if cat.ndim != 2 or cat.shape[1] != len(tables):
+        raise ValueError(f"field_row: cat of shape {cat.shape} does not have "
+                         f"one column per table ({len(tables)})")
+    if num.ndim != 2 or num.shape[0] != cat.shape[0]:
+        raise ValueError(f"field_row: num of shape {num.shape} does not have "
+                         f"{cat.shape[0]} rows")
+    for t in tables:
+        _check_table(t, "field_row")
+    index = [_checked_index(cat[:, i], t.shape[0], f"field_row field {i}")
+             for i, t in enumerate(tables)]
+    stops = np.cumsum([0] + [t.shape[1] for t in tables])
+    fields = list(zip(tables, index, stops[:-1], stops[1:]))
+    out = np.empty((cat.shape[0], stops[-1] + num.shape[1]))
+    for t, idx, start, stop in fields:
+        # a gather then a copy: np.take straight into the strided slice is slower
+        out[:, start:stop] = np.take(t.values, idx, axis=0)
+    out[:, stops[-1]:] = num
+
+    def piece(scatter, start, stop):
+        return lambda g: scatter(g[:, start:stop])
+
+    return _from_op(out, "field_row", *((t, piece(_scatter(idx, t.shape[0]), start, stop))
+                                        for t, idx, start, stop in fields))
 
 
 def cin_layer(prev, fmat, w) -> Tensor:

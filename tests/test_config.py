@@ -320,3 +320,13 @@ def test_cli_refuses_a_config_without_data_path(tmp_path, capsys, verb, flags, e
     assert cli.main([verb, "-c", str(path), *flags]) == 2
     assert error in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_an_empty_output_dir(tmp_path, capsys):
+    # an empty output.dir would resolve to the config file's own directory
+    write_synthetic_file(tmp_path / "data.txt", 200, seed=1)
+    path = tmp_path / "exp.cfg"
+    path.write_text(MINIMAL)
+    assert cli.main(["preprocess", "-c", str(path), "--set", "output.dir="]) == 2
+    assert "bad value for output.dir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "exp.cfg"]

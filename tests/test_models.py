@@ -320,6 +320,25 @@ def test_inference_values_equal_the_eval_forward_bitwise():
         assert h2.tobytes() == hint.values.tobytes(), name
 
 
+def test_dnn_and_dcn_gather_their_input_in_one_node():
+    # 26 fields give 26 tables but one field_row node; a per-field chain
+    # would add 26 rows nodes and a concat per part that reads the row
+    dims = FieldDims((30,) * 26, 13)
+    rng = np.random.default_rng(0)
+    cat = rng.integers(0, 30, size=(8, 26))
+    num = rng.normal(size=(8, 13))
+    y = (rng.random((8, 1)) < 0.5).astype(float)
+    # DNN: 32 parameters; field_row, 2 x (linear, relu), head, loss.
+    # DCN: 40 parameters; field_row, its no-op reshape, 3 cross layers,
+    # cross head, 2 x (linear, relu), MLP head, add, loss.
+    for spec, nodes in [(ModelSpec.dnn((16, 8), 4), 39), (ModelSpec.dcn(3, (16, 8), 4), 53)]:
+        model = Model(spec, dims, seed=1)
+        loss = T.bce_with_logits(model.forward(cat, num)[0], y)
+        record = T.ComputationRecord.trace(loss)
+        assert len(record.nodes) == nodes, spec
+        assert sum(t._op == "field_row" for t in record.nodes) == 1, spec
+
+
 def test_predict_sigmoid_mapping():
     model = Model(ModelSpec.lr(), DIMS, seed=0)
     cat, num = toy_batch()

@@ -165,6 +165,7 @@ def test_no_grad_records_no_graph():
     live = T.sigmoid(T.matmul(x, w))
     with T.no_grad():
         outs = [T.matmul(x, w), T.add(w, w), T.square(w), T.rows(w, np.array([0, 2])),
+                T.field_row([w], np.array([[1], [3]]), np.ones((2, 1))),
                 T.cin_layer(w, w, c), T.reduce_sum(w), T.sigmoid(T.matmul(x, w))]
     for out in outs:
         assert not out.requires_grad
@@ -500,6 +501,133 @@ def test_rows_on_a_table_an_op_produced():
     assert base.row_grad is None
     expected = _dense_scatter(20, 3, idx, weights) * 3.0
     assert base.grad.tobytes() == expected.tobytes()
+
+
+def test_rows_refuses_a_negative_index_before_gathering(monkeypatch):
+    table = parameter(np.arange(12, dtype=float).reshape(4, 3), "emb")
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("gathered before the index check")
+
+    # np.take would wrap -1 round to the last row
+    monkeypatch.setattr(np, "take", no_gather)
+    with pytest.raises(IndexError, match="index -1 at position 2 .* 4 rows"):
+        T.rows(table, np.array([0, 3, -1, 1]))
+    with pytest.raises(IndexError, match="index 4 at position 1 "):
+        T.rows(table, np.array([0, 4]))
+
+
+def test_field_row_names_the_field_and_the_bad_index_before_gathering(monkeypatch):
+    tables = [parameter(np.ones((5, 2))), parameter(np.ones((3, 2)))]
+    num = np.zeros((3, 1))
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("gathered before the index check")
+
+    monkeypatch.setattr(np, "take", no_gather)
+    for column, message in [([0, -2, 1], "field 1: index -2 at position 1 "),
+                            ([2, 1, 3], "field 1: index 3 at position 2 .* 3 rows")]:
+        cat = np.stack([np.array([4, 0, 1]), np.array(column)], axis=1)
+        with pytest.raises(IndexError, match=message):
+            T.field_row(tables, cat, num)
+    with pytest.raises(ValueError, match="one column per table"):
+        T.field_row(tables, np.zeros((3, 1), dtype=int), num)
+    with pytest.raises(ValueError, match="1-d integer"):
+        T.field_row(tables, np.zeros((3, 2)), num)
+
+
+def _field_tables(rng, vocab_sizes, d):
+    return [parameter(rng.normal(size=(v, d)), f"embed.{i}") for i, v in enumerate(vocab_sizes)]
+
+
+def _field_batch(rng, vocab_sizes, batch, n_numeric):
+    cat = np.stack([rng.integers(0, v, size=batch) for v in vocab_sizes], axis=1)
+    return cat.astype(np.int32), rng.normal(size=(batch, n_numeric))
+
+
+def _chain_row(tables, cat, num):
+    """The per-field ``rows`` and ``concat`` that ``field_row`` fuses."""
+    parts = [T.rows(t, cat[:, i]) for i, t in enumerate(tables)]
+    if num.shape[1]:
+        parts.append(Tensor(num))
+    return T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+
+
+def _grad_state(tables):
+    """Each table's gradient as bytes, and whether it was still row-sparse."""
+    return [(t.row_grad is not None, t.grad.tobytes()) for t in tables]
+
+
+@pytest.mark.parametrize("vocab_sizes,n_numeric", [
+    ((40, 50, 60), 2),  # every table has twice the batch's rows: RowGrad
+    ((5, 7, 4), 2),  # smaller tables: the dense scatter
+    ((40, 3), 2),  # one of each
+    ((40, 50), 0),  # no numerics
+    ((40,), 0),  # one field and nothing else
+    ((6,), 3),  # one field
+], ids=["row-sparse", "dense", "mixed", "no-numerics", "one-field-alone", "one-field"])
+def test_field_row_is_bitwise_the_rows_concat_chain(vocab_sizes, n_numeric):
+    rng = np.random.default_rng(sum(vocab_sizes) + n_numeric)
+    batch, d = 12, 3
+    cat, num = _field_batch(rng, vocab_sizes, batch, n_numeric)
+    width = len(vocab_sizes) * d + n_numeric
+    w, b = rng.normal(size=(width, 2)), rng.normal(size=(1, 2))
+    results = []
+    for build in (_chain_row, T.field_row):
+        tables = _field_tables(np.random.default_rng(1), vocab_sizes, d)
+        row = build(tables, cat, num)
+        T.reduce_sum(T.square(T.linear(row, Tensor(w), Tensor(b)))).backward()
+        results.append((row.values.tobytes(), _grad_state(tables)))
+    assert results[0] == results[1]
+    assert results[1][1][0][0] == (vocab_sizes[0] >= 2 * batch)
+
+
+def test_field_row_read_twice_is_bitwise_dcn_s_two_concats():
+    # DCN: the cross layers read the row through a no-op node, the MLP
+    # directly; the reference builds one concat for each part
+    rng = np.random.default_rng(4)
+    vocab_sizes, batch, d, n_numeric = (40, 5, 30), 10, 2, 1
+    cat, num = _field_batch(rng, vocab_sizes, batch, n_numeric)
+    width = len(vocab_sizes) * d + n_numeric
+    cw, cb = rng.normal(size=(2, width, 1)), rng.normal(size=(2, 1, width))
+    mw, mb = rng.normal(size=(width, 3)), rng.normal(size=(1, 3))
+
+    def loss(cross_in, deep_in):
+        x = cross_in
+        for w, b in zip(cw, cb):
+            x = T.cross_layer(cross_in, x, Tensor(w), Tensor(b))
+        deep = T.relu(T.linear(deep_in, Tensor(mw), Tensor(mb)))
+        return T.add(T.reduce_sum(T.square(x)), T.reduce_sum(deep))
+
+    results = []
+    for fused in (False, True):
+        tables = _field_tables(np.random.default_rng(2), vocab_sizes, d)
+        if fused:
+            row = T.field_row(tables, cat, num)
+            out = loss(T.reshape(row, row.shape), row)
+        else:
+            parts = [T.rows(t, cat[:, i]) for i, t in enumerate(tables)] + [Tensor(num)]
+            out = loss(T.concat(parts, axis=1), T.concat(parts, axis=1))
+        out.backward()
+        results.append((out.values.tobytes(), _grad_state(tables)))
+    assert results[0] == results[1]
+
+
+def test_field_row_with_numerics_only_records_no_graph():
+    num = np.random.default_rng(3).normal(size=(4, 3))
+    row = T.field_row([], np.zeros((4, 0), dtype=np.int32), num)
+    assert row.values.tobytes() == num.tobytes()
+    assert not row.requires_grad
+
+
+def test_field_row_gradcheck():
+    rng = np.random.default_rng(9)
+    vocab_sizes = (4, 30, 3)
+    tables = _field_tables(rng, vocab_sizes, 2)
+    cat, num = _field_batch(rng, vocab_sizes, 6, 2)
+    w = parameter(rng.normal(size=(8, 1)), "w")
+    check_grads(lambda: T.reduce_sum(T.square(T.matmul(T.field_row(tables, cat, num), w))),
+                [*tables, w], tol=1e-6)
 
 
 def test_cin_layer_values_and_gradcheck():
