@@ -110,19 +110,16 @@ class FeatureVocabulary:
     def sizes(self) -> tuple[int, ...]:
         return tuple(self.size(f) for f in self.mapping)
 
-    def _serialize(self) -> bytes:
-        lines = []
-        for field in sorted(self.mapping):
-            for token, index in sorted(self.mapping[field].items(), key=lambda kv: kv[1]):
-                lines.append(f"{_escape(field)}\t{_escape(token)}\t{index}\n")
-        return "".join(lines).encode("utf-8")
-
-    def save(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(self._serialize())
+    def text(self) -> str:
+        """``vocab.tsv``: one ``field<TAB>token<TAB>index`` line per entry,
+        sorted by field and index."""
+        return "".join(f"{_escape(field)}\t{_escape(token)}\t{index}\n"
+                       for field in sorted(self.mapping)
+                       for token, index in sorted(self.mapping[field].items(),
+                                                  key=lambda kv: kv[1]))
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self._serialize()).hexdigest()
+        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ finished run.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -22,7 +23,7 @@ from .data import EncodedDataset, FeatureVocabulary, encode_rows, read_rows, spl
 from .distill import COTRAIN, PRETRAIN
 from .metrics import auc, logloss
 from .models import FieldDims, Model
-from .report import ExperimentReport, ReportRow
+from .report import Aggregate, ExperimentReport, ReportRow
 from .train import (KD_LOSS_MIN, VAL_AUC_MAX, predict_dataset,
                     train_student_cotrain, train_student_pretrain,
                     train_teacher)
@@ -50,9 +51,24 @@ def run_stage(stage: str, cfg: ExperimentConfig):
         raise StageError(stage, err) from err
 
 
+def _write(path: str, text: str) -> None:
+    """Write a text artifact: UTF-8, with ``text``'s line ends untranslated.
+    Every text file a run writes goes through here."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` under a ``columns`` header, every line ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(path, buf.getvalue())
+
+
 def _write_status(outdir: str, text: str) -> None:
-    with open(os.path.join(outdir, "status.txt"), "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+    _write(os.path.join(outdir, "status.txt"), text + "\n")
 
 
 @dataclass
@@ -84,7 +100,7 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
             raise ValueError(f"the {name} split has 0 of {len(rows)} rows; "
                              "every split needs at least one row")
     vocab = FeatureVocabulary.build(parts[0], cfg.schema, cfg["data.min_count"])
-    vocab.save(os.path.join(outdir, "vocab.tsv"))
+    _write(os.path.join(outdir, "vocab.tsv"), vocab.text())
     datasets = [encode_rows(part, cfg.schema, vocab) for part in parts]
     for name, ds in zip(("train", "val", "test"), datasets):
         ds.save_npz(os.path.join(outdir, f"{name}.npz"))
@@ -93,8 +109,7 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
     meta = [*dims.to_kv().items(), ("fingerprint", fingerprint),
             ("rows_train", len(datasets[0])), ("rows_val", len(datasets[1])),
             ("rows_test", len(datasets[2]))]
-    with open(os.path.join(outdir, "data_meta.txt"), "w", encoding="utf-8") as f:
-        f.write(format_kv(meta))
+    _write(os.path.join(outdir, "data_meta.txt"), format_kv(meta))
     return DataArtifacts(dims, fingerprint, *datasets)
 
 
@@ -105,15 +120,9 @@ def _layout(outdir: str, kind: str) -> tuple[str, str]:
 
 
 META_FIELDS = ["model", "seed", "ckpt", "best_epoch", "seconds"]
+RECORD_FIELDS = ["epoch", "loss", "monitor_value", "seconds", "stopped"]
 # record columns that are not text
 _TYPES = {"seed": int, "best_epoch": int, "seconds": float, "auc": float, "logloss": float}
-
-
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _read_records(path: str) -> list[dict]:
@@ -129,7 +138,10 @@ def _save_trained(directory: str, name: str, label: str, model: Model, seed: int
     ckpt = os.path.join(directory, f"{name}.ckpt")
     persist.save(ckpt, model, seed=seed, epoch=record.best_epoch,
                  vocab_fingerprint=fingerprint, extras=extras)
-    record.to_csv(os.path.join(directory, f"{name}.record.csv"))
+    _write_csv(os.path.join(directory, f"{name}.record.csv"), RECORD_FIELDS,
+               [{"epoch": e.epoch, "loss": e.loss, "monitor_value": e.monitor,
+                 "seconds": e.seconds, "stopped": str(e.stopped).lower()}
+                for e in record.epochs])
     return {"model": label, "seed": seed, "ckpt": ckpt,
             "best_epoch": record.best_epoch, "seconds": round(record.total_seconds, 3)}
 
@@ -261,10 +273,11 @@ def stage_report(cfg: ExperimentConfig) -> ExperimentReport:
     outdir = cfg.output_dir
     runs = _read_records(os.path.join(outdir, "runs.csv"))
     report = ExperimentReport([ReportRow(**r) for r in runs], baseline=cfg["report.baseline"])
-    with open(os.path.join(outdir, "report.csv"), "w", encoding="utf-8") as f:
-        f.write(report.summary_csv())
-    with open(os.path.join(outdir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(report.text_table())
+    _write_csv(os.path.join(outdir, "report.csv"), [f.name for f in fields(Aggregate)],
+               [{**asdict(a), "auc_delta_permille": f"{a.auc_delta_permille:.4f}",
+                 "logloss_delta_permille": f"{a.logloss_delta_permille:.4f}"}
+                for a in report.aggregates()])
+    _write(os.path.join(outdir, "report.txt"), report.text_table())
     return report
 
 

@@ -81,15 +81,6 @@ class ExperimentReport:
             ))
         return out
 
-    def summary_csv(self) -> str:
-        lines = ["model,n_seeds,auc_mean,auc_std,logloss_mean,logloss_std,"
-                 "auc_delta_permille,logloss_delta_permille"]
-        for a in self.aggregates():
-            lines.append(f"{a.model},{a.n_seeds},{a.auc_mean!r},{a.auc_std!r},"
-                         f"{a.logloss_mean!r},{a.logloss_std!r},"
-                         f"{a.auc_delta_permille:.4f},{a.logloss_delta_permille:.4f}")
-        return "\n".join(lines) + "\n"
-
     def text_table(self) -> str:
         headers = ["model", "seeds", "AUC (mean+/-std)", "logloss (mean+/-std)",
                    "dAUC permille", "dLL permille"]

@@ -397,7 +397,11 @@ def cross_layer(x0, x, w, b) -> Tensor:
     s = x.values @ w.values
     # d out / d s, shared by the last two adjoints
     g_s, take_g_s = _shared(lambda g: (g * x0.values).sum(axis=1, keepdims=True))
-    return _from_op(x0.values * s + b.values + x.values, "cross_layer",
+    # x0 * s + b + x, in that order, with one (n, D) allocation
+    out = x0.values * s
+    out += b.values
+    out += x.values
+    return _from_op(out, "cross_layer",
                     (x, lambda g: g),
                     (b, lambda g: g.sum(axis=0, keepdims=True)),
                     (x0, lambda g: g * s),

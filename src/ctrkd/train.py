@@ -89,23 +89,14 @@ class Adam:
     A row-sparse gradient (``Tensor.row_grad``) updates the moments of its
     touched rows only; the decay and the parameter update still cover the
     whole table, as dense Adam moves untouched rows too.
-
-    Each moment lives in one flat buffer for all parameters, and ``m[i]``
-    and ``v[i]`` are views into them, so a step decays each buffer with one
-    multiply.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        starts = np.cumsum([0] + [p.size for p in self.params])
-        self._m_flat, self._v_flat = np.zeros(starts[-1]), np.zeros(starts[-1])
-
-        def views(flat):
-            return [flat[i:i + p.size].reshape(p.shape) for i, p in zip(starts, self.params)]
-
-        self.m, self.v = views(self._m_flat), views(self._v_flat)
+        self.m = [np.zeros_like(p.values) for p in self.params]
+        self.v = [np.zeros_like(p.values) for p in self.params]
         # two update buffers sized to the largest parameter, shared by all
         size = max((p.size for p in self.params), default=0)
         a, b = np.empty(size), np.empty(size)
@@ -120,9 +111,9 @@ class Adam:
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        self._m_flat *= BETA1
-        self._v_flat *= BETA2
         for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._scratch):
+            m *= BETA1
+            v *= BETA2
             sparse = p.row_grad
             if sparse is None:
                 g = p.grad
@@ -159,7 +150,7 @@ class EpochStats:
 
 
 class TrainRecord:
-    """Per-epoch training trace, exportable as CSV."""
+    """Per-epoch training trace."""
 
     def __init__(self):
         self.epochs: list[EpochStats] = []
@@ -177,13 +168,6 @@ class TrainRecord:
     @property
     def total_seconds(self) -> float:
         return sum(e.seconds for e in self.epochs)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("epoch,loss,monitor_value,seconds,stopped\n")
-            for e in self.epochs:
-                f.write(f"{e.epoch},{e.loss!r},{e.monitor!r},{e.seconds!r},"
-                        f"{str(e.stopped).lower()}\n")
 
 
 class EarlyStopMonitor:

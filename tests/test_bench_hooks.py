@@ -141,3 +141,32 @@ def test_untraced_call_log_counts_match_the_bench_formulas(monkeypatch):
         ("teacher", "deepfm", rows, epochs, epochs, batches, 0, True),
         ("kd", "dnn", rows, epochs, epochs, batches,
          epochs * 1 * (rows + hyper.kd_monitor_rows), True)]
+
+
+def test_cli_pipeline_checks_read_the_run_files(tmp_path, monkeypatch):
+    # CliPipeline.check reads status.txt, report.csv, runs.csv and the
+    # *_meta.csv files; run the workload end to end on a small file
+    import workloads
+
+    for mod in (ctrkd.train, ctrkd.experiment):
+        for fn in ("train_teacher", "train_student_pretrain"):
+            monkeypatch.setattr(mod, fn, getattr(mod, fn))
+    monkeypatch.setattr(ctrkd.experiment, "stage_preprocess",
+                        ctrkd.experiment.stage_preprocess)
+
+    class SmallCliPipeline(workloads.CliPipeline):
+        rows = 3000
+
+    log = workloads.CallLog()
+    log.install()
+    bench = SmallCliPipeline(seed=1, workdir=str(tmp_path), log=log)
+    bench.setup()
+    bench.prepare()
+    log.clear()
+    job = bench.job(None)
+    job.calls = list(log.calls)
+    checks = dict(bench.check(job))
+    # test_auc_floor is set for the benchmark's 20,000 rows, not these 3,000
+    checks.pop("test_auc_floor")
+    assert checks and all(checks.values()), checks
+    assert {"exit_code", "status_ok", "report_rows", "reload_matches_evaluate"} <= set(checks)

@@ -92,16 +92,14 @@ def test_vocab_roundtrip_through_file(tmp_path):
     rows += D.read_rows(raw)
     assert [row[2] for row in rows[-len(breaks):]] == [f"p{ch}q" for ch in breaks]
     vocab = D.FeatureVocabulary.build(rows, toy_schema(), min_count=2)
-    path = tmp_path / "vocab.tsv"
-    vocab.save(path)
     # one "field<TAB>token<TAB>index\n" line per entry, in field then index
     # order: a tab inside a token is written as \t, other breaks as they are
     kept = sorted(["a", "we\tird", *(f"p{ch}q" for ch in breaks)])
     expected = [("C1", tok.replace("\t", "\\t"), i) for i, tok in enumerate(kept, start=1)]
     expected.append(("C2", "z", 1))
-    written = path.read_bytes()
-    assert written == "".join(f"{f}\t{t}\t{i}\n" for f, t, i in expected).encode("utf-8")
-    assert vocab.fingerprint() == hashlib.sha256(written).hexdigest()
+    text = vocab.text()
+    assert text == "".join(f"{f}\t{t}\t{i}\n" for f, t, i in expected)
+    assert vocab.fingerprint() == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_encode_decode_roundtrip_token_or_unk():

@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 from pathlib import Path
@@ -82,6 +83,42 @@ def test_run_produces_report_with_expected_cardinality(tmp_path):
     assert (out / "status.txt").read_text().strip() == "ok"
     agg = {a.model: a for a in report.aggregates()}
     assert agg["student_plain"].auc_delta_permille == 0.0
+
+
+CSV_COLUMNS = {
+    "teachers_meta.csv": "model,seed,ckpt,best_epoch,seconds",
+    "students_meta.csv": "model,seed,ckpt,best_epoch,seconds",
+    "runs.csv": "model,seed,auc,logloss,best_epoch,seconds",
+    "report.csv": "model,n_seeds,auc_mean,auc_std,logloss_mean,logloss_std,"
+                  "auc_delta_permille,logloss_delta_permille",
+    ".record.csv": "epoch,loss,monitor_value,seconds,stopped",
+}
+
+
+def test_every_text_artifact_ends_its_lines_in_one_newline(tmp_path):
+    assert cli.main(["run", "-c", str(tiny_config(tmp_path))]) == 0
+    out = tmp_path / "out"
+    texts = [p for p in sorted(out.rglob("*"))
+             if p.is_file() and p.suffix not in (".npz", ".ckpt")]
+    assert {p.name for p in texts} >= {"status.txt", "data_meta.txt", "vocab.tsv",
+                                       "report.txt", *CSV_COLUMNS} - {".record.csv"}
+    records = [p for p in texts if p.name.endswith(".record.csv")]
+    assert len(records) == 3  # the teacher, the plain and the KD student
+    for path in texts:
+        raw = path.read_bytes()
+        assert b"\r" not in raw, path.name
+        assert raw.endswith(b"\n"), path.name
+        if path.suffix != ".csv":
+            continue
+        kind = ".record.csv" if path in records else path.name
+        header, *lines = raw.decode("utf-8").splitlines()
+        assert header == CSV_COLUMNS[kind]
+        with open(path, newline="", encoding="utf-8") as f:
+            assert [list(row.values()) for row in csv.DictReader(f)] == \
+                [line.split(",") for line in lines]
+    for kind in ("teachers_meta.csv", "students_meta.csv", "runs.csv"):
+        rows = experiment._read_records(str(out / kind))
+        assert rows and all(isinstance(r["seed"], int) for r in rows)
 
 
 def test_run_twice_is_deterministic(tmp_path):

@@ -1,8 +1,12 @@
 import math
+import os
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from ctrkd import experiment
+from ctrkd.config import parse_config_text
 from ctrkd.report import Aggregate, ExperimentReport, ReportRow
 
 
@@ -48,13 +52,27 @@ def test_unknown_baseline_rejected():
         ExperimentReport(rows_for("m", [0.7]), baseline="ghost")
 
 
-def test_csv_and_table_shapes():
-    rows = rows_for("base", [0.70, 0.71]) + rows_for("cand", [0.72, 0.73])
-    report = ExperimentReport(rows, baseline="base")
-    summary = report.summary_csv().splitlines()
-    assert len(summary) == 3
-    table = report.text_table()
-    assert "base *" in table
-    assert "cand" in table
-    # candidate delta +20 permille
+def test_csv_and_table_shapes(tmp_path):
+    # stage_report reads runs.csv and writes report.csv and report.txt
+    cfg = parse_config_text("data.path = clicks.txt\ndata.format = criteo\n"
+                            "output.dir = out\n", base_dir=str(tmp_path))
+    rows = rows_for("student_plain", [0.70, 0.71]) + rows_for("student_kd", [0.72, 0.73])
+    os.makedirs(cfg.output_dir)
+    experiment._write_csv(os.path.join(cfg.output_dir, "runs.csv"),
+                          [f.name for f in fields(ReportRow)], [asdict(r) for r in rows])
+    report = experiment.stage_report(cfg)
+    out = tmp_path / "out"
+    summary = (out / "report.csv").read_bytes().decode("utf-8").split("\n")
+    assert summary[0] == ("model,n_seeds,auc_mean,auc_std,logloss_mean,logloss_std,"
+                          "auc_delta_permille,logloss_delta_permille")
+    assert len(summary) == 4 and summary[-1] == ""
+    plain, _ = report.aggregates()
+    assert summary[1] == (f"student_plain,2,{plain.auc_mean!r},{plain.auc_std!r},"
+                          f"{plain.logloss_mean!r},{plain.logloss_std!r},0.0000,0.0000")
+    # candidate delta +20 permille, four decimals in the CSV
+    assert summary[2].startswith("student_kd,2,") and summary[2].endswith(",20.0000,0.0000")
+    table = (out / "report.txt").read_text()
+    assert table == report.text_table()
+    assert "student_plain *" in table
+    assert "student_kd" in table
     assert "+20.0" in table

@@ -352,7 +352,9 @@ def test_linear_is_bitwise_the_matmul_broadcast_add_chain(n, width, out):
         T.linear(xt, wt, parameter(np.zeros((out,))))
 
 
-@pytest.mark.parametrize("n,width", [(6, 5), (1, 5), (6, 1), (1, 1)], ids=lambda v: str(v))
+# (2000, 221): DCN's width on the benchmark's Criteo shape
+@pytest.mark.parametrize("n,width", [(6, 5), (1, 5), (6, 1), (1, 1), (2000, 221)],
+                         ids=lambda v: str(v))
 def test_cross_layer_is_bitwise_the_unfused_chain(n, width):
     rng = np.random.default_rng(n * 10 + width)
     x0, x = rng.normal(size=(n, width)), rng.normal(size=(n, width))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctrkd import distill as KD
+from ctrkd import experiment
 from ctrkd import tensor as T
 from ctrkd.data import EncodedDataset
 from ctrkd.distill import DistillConfig
@@ -281,15 +282,16 @@ def test_l2_touches_embeddings_only():
 
 
 def test_train_record_csv(tmp_path):
+    # the record CSV that experiment._save_trained writes beside a checkpoint
     record = TrainRecord()
     record.append(EpochStats(1, 0.6, 0.7, 1.25, False))
-    record.append(EpochStats(2, 0.5, 0.71, 1.5, True))
-    path = tmp_path / "record.csv"
-    record.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,loss,monitor_value,seconds,stopped"
-    assert lines[1].startswith("1,0.6,0.7,") and lines[1].endswith(",false")
-    assert lines[2].endswith(",true")
+    record.append(EpochStats(2, 0.5, float("nan"), 1.5, True))
+    model = Model(ModelSpec.dnn((4,), embedding_dim=2), FieldDims((5, 5), 1), seed=0)
+    meta = experiment._save_trained(str(tmp_path), "m", "teacher/dnn", model, 3, record, "f")
+    assert meta["best_epoch"] == 2 and meta["seconds"] == 2.75
+    written = (tmp_path / "m.record.csv").read_bytes().decode("utf-8")
+    assert written == ("epoch,loss,monitor_value,seconds,stopped\n"
+                       "1,0.6,0.7,1.25,false\n2,0.5,nan,1.5,true\n")
 
 
 # -- distillation loops -------------------------------------------------------
