@@ -5,7 +5,7 @@ rejected so stale option names fail loudly instead of silently using
 defaults. Relative paths resolve against the config file's directory.
 
 The ``key = value`` codec here (``parse_kv``/``format_kv``) is also the
-one that checkpoint text sections and ``data_meta.txt`` use.
+one that checkpoint text members and ``data_meta.txt`` use.
 """
 from __future__ import annotations
 

@@ -95,8 +95,8 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
         # two update buffers sized to the largest parameter, shared by all
         size = max((p.size for p in self.params), default=0)
         a, b = np.empty(size), np.empty(size)

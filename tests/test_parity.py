@@ -38,26 +38,28 @@ PINNED = [
      "2c31dd4dc2504a620bc09ad3ad2dbd4db718369b48dc1d3cb961821c25d37ade"),
     ("cotrain/hint",
      "9ab620a6359822a0aec981a338711fcfc377e27f257eb53fa9920680110a3f25"),
+    # the pipeline runs hash every .ckpt file's bytes, so these ten moved when
+    # checkpoints became .npz files; hashed by loaded content they are unchanged
     ("pipeline/single-teacher",
-     "802cc09e21bf97c8dce2c5a1cebb9f2f6a5ef293b43d0d21ad543c148fe6842d"),
+     "ca1cc55dd792504bbf415c3f3a137076a23993aa377d4fbff56fdae4950be007"),
     ("pipeline/M-3-architectures-gated",
-     "ac6a58c90b9a96c473307be346df251be259f98943a5333307f9ad032f706436"),
+     "b57af91dd4c76953790faa95caa88065ec0bebe45c99e31bee6d9c910e776339"),
     ("pipeline/M-seeds-prediction-average",
-     "ac77a2c23c7f05ca64ad6448133fbf8e24dc740dd1b9e3826c3b6e7b6ff9173b"),
+     "a0772b83175e670e83b5d64f20e1d8d1432fbb14ebadae89ca153d51ef1a0d91"),
     ("pipeline/D-3-partitions",
-     "4f1db981d4c39aa3dbf48831b1a25cac9040bd8e20524e0488315f7e73a19faa"),
+     "af51df5f17cf3ab03542f84396211ae4b1000030a0fdf119255df4b660164eb1"),
     ("pipeline/hint-val_auc",
-     "791d187e2e64f465d5801504a2cfcadb0482daa14f2f1719c584e172dcd1353b"),
+     "184e0ef499a1408030aba9a812e135416120d53cb5b98c300902c1cd3dd4e6f4"),
     ("pipeline/hint-kd_loss-no-merge",
-     "98c0adca6186f4e0ee064ef5f6e22bb0c868a56d3f6a02866b324daff7c36f3f"),
+     "b2559ea321f63f6bdc29ee0593ac3a9e8a26e1e02b9efae6b5e036018ff0c5ac"),
     ("pipeline/cotrain",
-     "cc44d3dc7442847fbcad1b60c0d6eb873f862ba3f66ff79e2921f90301dad9bb"),
+     "daa1013803248a3720586642b768c81c16f451979d5b6685d434064cdbe1538c"),
     ("pipeline/baseline-teacher",
-     "ee2fc3a7b416ed7c3670f09454158614271aaa63072dab1fc9293551b15e21f2"),
+     "b5fa1c480b252f613a94eba7ca24e3cc87be1517fde5df7873bff660d2aa29e5"),
     ("pipeline/no-plain-student",
-     "0d74f904948f9cd157b97d6fca09a6a9f1e37317aadd77d252fb36645db281af"),
+     "57d6c7a30a4d11e38a1a7de0a1262a78ff9a782cc94010933154eae7b25fe214"),
     ("pipeline/shuffled-columns",
-     "8b28eb8fe3052415ed2120d8a4a7f322192140d916a907f27075bb45420bd502"),
+     "c575ffe7d5454cea18789443bbf718d1729018ee573d2da948d8e4718a355211"),
     ("bigvocab/teacher/deepfm",
      "df3a42d89382ac9388df207a40a7d8e681458f3a570d9b65181243e89970aa9d"),
     ("bigvocab/teacher/wide_deep",

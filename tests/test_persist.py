@@ -1,5 +1,7 @@
+import io
 import os
-import struct
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -75,15 +77,11 @@ def test_not_a_checkpoint(tmp_path):
         persist.load(path)
 
 
-def test_version_mismatch(tmp_path):
-    model = Model(ModelSpec.lr(), DIMS, seed=0)
-    path = tmp_path / "model.ckpt"
-    persist.save(path, model)
-    blob = bytearray(path.read_bytes())
-    blob[8] = 99  # version field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(persist.VersionMismatchError):
-        persist.load(path)
+def test_version_mismatch():
+    # a file in the earlier hand-rolled layout (tests/data/v1_adam.ckpt) is not
+    # read: the stage that wrote it is rerun instead
+    with pytest.raises(persist.VersionMismatchError, match="rerun its stage"):
+        persist.load(FIXTURE)
 
 
 def test_fingerprint_refusal(tmp_path):
@@ -113,32 +111,49 @@ def test_extras_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.tensors["gate.b.0"], extras["gate.b.0"])
 
 
-def section_spans(blob: bytes) -> dict[str, tuple[int, int]]:
-    """Payload (start, end) offsets of every section in a checkpoint file."""
-    pos, spans = len(persist.MAGIC) + 4, {}
-    while pos < len(blob):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        name = blob[pos + 2:pos + 2 + name_len].decode("utf-8")
-        (payload_len,) = struct.unpack_from("<Q", blob, pos + 2 + name_len)
-        start = pos + 2 + name_len + 8
-        spans[name] = (start, start + payload_len)
-        pos = start + payload_len
-    return spans
+def npy(arr) -> bytes:
+    """``arr`` as the bytes of a ``.npy`` member."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(arr))
+    return buf.getvalue()
+
+
+def text_npy(text: bytes) -> bytes:
+    return npy(np.frombuffer(text, np.uint8))
+
+
+def member(path, name: str) -> np.ndarray:
+    with np.load(path) as z:
+        return z[name]
+
+
+def tiny_lr(seed=0) -> Model:
+    return Model(ModelSpec.lr(), FieldDims((3,), 0), seed=seed)
+
+
+def rewrite(src, dst, members: dict[str, bytes]) -> None:
+    """Re-zip the checkpoint at ``src`` to ``dst`` with the ``.npy`` bytes of
+    ``members`` replaced or added, so every zip CRC32 holds and only the
+    checkpoint's own checks can refuse the result."""
+    with zipfile.ZipFile(src) as zf:
+        files = {info.filename: zf.read(info) for info in zf.infolist()}
+    files.update((f"{name}.npy", data) for name, data in members.items())
+    with zipfile.ZipFile(dst, "w") as zf:
+        for name, data in files.items():
+            zf.writestr(name, data)
 
 
 def test_corrupt_text_sections_raise_corrupt_checkpoint(tmp_path):
     model = Model(ModelSpec.deepfm((8,), embedding_dim=3), DIMS, seed=4)
     path = tmp_path / "model.ckpt"
     persist.save(path, model, seed=4, epoch=2, vocab_fingerprint="ef" * 32)
-    blob = path.read_bytes()
-    spans = section_spans(blob)
     bad = tmp_path / "bad.ckpt"
     for name in ("spec", "fields", "meta"):
-        start, end = spans[name]
-        for i in range(start, end):
+        blob = member(path, name).tobytes()
+        for i in range(len(blob)):  # each ASCII byte becomes invalid UTF-8
             flipped = bytearray(blob)
             flipped[i] ^= 0x80
-            bad.write_bytes(bytes(flipped))
+            rewrite(path, bad, {name: text_npy(bytes(flipped))})
             with pytest.raises(persist.CorruptCheckpointError):
                 persist.load(bad)
 
@@ -147,31 +162,29 @@ def test_text_section_value_errors_raise_corrupt_checkpoint(tmp_path):
     model = Model(ModelSpec.fm(3), DIMS, seed=0)
     path = tmp_path / "model.ckpt"
     persist.save(path, model, seed=7, epoch=1)
-    blob = path.read_bytes()
-    for old, new in ((b"seed = 7", b"seed = x"),          # bad number
-                     (b"epoch = 1", b"epoch 1"),          # malformed line
-                     (b"seed = 7", b"sead = 7"),          # missing key
-                     (b"wide = fm", b"wide = zz"),        # invalid spec
-                     (b"activation = relu", b"activation = tanh")):  # not ReLU
+    for name, old, new in (("meta", b"seed = 7", b"seed = x"),          # bad number
+                           ("meta", b"epoch = 1", b"epoch 1"),          # malformed line
+                           ("meta", b"seed = 7", b"sead = 7"),          # missing key
+                           ("spec", b"wide = fm", b"wide = zz"),        # invalid spec
+                           ("spec", b"activation = relu", b"activation = tanh")):  # not ReLU
+        blob = member(path, name).tobytes()
+        assert old in blob
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(blob.replace(old, new))
+        rewrite(path, bad, {name: text_npy(blob.replace(old, new))})
         with pytest.raises(persist.CorruptCheckpointError):
             persist.load(bad)
 
 
 def test_only_float64_dtype_code_is_valid(tmp_path):
-    model = Model(ModelSpec.lr(), FieldDims((3,), 0), seed=0)
     path = tmp_path / "model.ckpt"
-    persist.save(path, model)
-    blob = bytearray(path.read_bytes())
-    start, _ = section_spans(bytes(blob))["tensors"]
-    (name_len,) = struct.unpack_from("<H", blob, start + 4)
-    code_at = start + 4 + 2 + name_len
-    assert blob[code_at] == 0
-    blob[code_at] = 1  # the f32 code older writers accepted
-    path.write_bytes(bytes(blob))
-    with pytest.raises(persist.CorruptCheckpointError):
-        persist.load(path)
+    persist.save(path, tiny_lr())
+    values = member(path, "tensor/lr.cat.0")
+    # other dtypes, other byte order, and Fortran order
+    for stored in (values.astype(np.float32), values.astype(">f8"), values.astype(np.int64),
+                   np.asfortranarray(np.tile(values, (1, 2)))):
+        rewrite(path, path, {"tensor/lr.cat.0": npy(stored)})
+        with pytest.raises(persist.CorruptCheckpointError):
+            persist.load(path)
 
 
 def test_tensors_that_do_not_fit_the_spec_are_refused_at_build(tmp_path):
@@ -183,7 +196,8 @@ def test_tensors_that_do_not_fit_the_spec_are_refused_at_build(tmp_path):
     with pytest.raises(persist.CorruptCheckpointError, match="lacks parameters"):
         loaded.build_model()
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(path.read_bytes().replace(b"embedding_dim = 3", b"embedding_dim = 2"))
+    spec = member(path, "spec").tobytes().replace(b"embedding_dim = 3", b"embedding_dim = 2")
+    rewrite(path, bad, {"spec": text_npy(spec)})
     with pytest.raises(persist.CorruptCheckpointError, match="shape mismatch"):
         persist.load(bad).build_model()
 
@@ -192,39 +206,96 @@ def test_corrupt_tensor_header_raises_corrupt_checkpoint(tmp_path):
     model = Model(ModelSpec.deepfm((8,), embedding_dim=3), DIMS, seed=4)
     path = tmp_path / "model.ckpt"
     persist.save(path, model)
-    blob = path.read_bytes()
-    start, _ = section_spans(blob)["tensors"]
-    # u32 count, then the first tensor's name length, name, code, ndim, dims
-    (name_len,) = struct.unpack_from("<H", blob, start + 4)
-    ndim = blob[start + 4 + 2 + name_len + 1]
+    with zipfile.ZipFile(path) as zf:
+        data = zf.read("tensor/embed.0.npy")
+    header_len = len(data) - member(path, "tensor/embed.0").nbytes
     bad = tmp_path / "bad.ckpt"
-    for i in range(start, start + 4 + 2 + name_len + 2 + 8 * ndim):
-        flipped = bytearray(blob)
+    # magic, version, header length and the header's dict text
+    for i in range(header_len):
+        flipped = bytearray(data)
         flipped[i] ^= 0x80
-        bad.write_bytes(bytes(flipped))
+        rewrite(path, bad, {"tensor/embed.0": bytes(flipped)})
         with pytest.raises(persist.CheckpointError):
             persist.load(bad).build_model()
 
 
-def test_v1_file_with_adam_section_still_loads_and_bytes_are_pinned(tmp_path):
-    # written by the earlier persist.save, which also took ``adam=(t, m, v)``:
-    # this untrained model, seed 3, epoch 5, fingerprint "cd" * 32, the extra
-    # below and an ``adam`` section with t = 7, every m 0.25 and every v 0.5
-    model = Model(ModelSpec.deepfm((8,), embedding_dim=3), DIMS, seed=3)
-    extra = {"gate.w.0": np.array([[1.5, -0.25]])}
-    loaded = persist.load(FIXTURE)
-    rebuilt = loaded.build_model()
-    fresh = model.state()
-    assert set(rebuilt.state()) == set(fresh)
-    for name, arr in rebuilt.state().items():
-        np.testing.assert_array_equal(arr, fresh[name])
-    np.testing.assert_array_equal(loaded.tensors["gate.w.0"], extra["gate.w.0"])
-    assert (loaded.seed, loaded.epoch, loaded.vocab_fingerprint) == (3, 5, "cd" * 32)
-
+def test_header_that_overruns_its_member_is_refused_before_allocating(tmp_path):
     path = tmp_path / "model.ckpt"
-    persist.save(path, model, seed=3, epoch=5, vocab_fingerprint="cd" * 32, extras=extra)
-    fixture = open(FIXTURE, "rb").read()
-    adam_start, adam_end = section_spans(fixture)["adam"]
-    assert adam_end == len(fixture)  # the last section
-    adam_header = adam_start - 8 - len(b"adam") - 2
-    assert path.read_bytes() == fixture[:adam_header]
+    persist.save(path, tiny_lr())
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 40,)})
+    rewrite(path, path, {"tensor/lr.cat.0": buf.getvalue() + bytes(8 * 3)})
+    with pytest.raises(persist.CorruptCheckpointError, match="lr.cat.0"):
+        persist.load(path)
+
+
+def test_members_must_be_the_ones_meta_lists(tmp_path):
+    path = tmp_path / "model.ckpt"
+    persist.save(path, tiny_lr(), extras={"gate.w.0": np.array([[1.5]])})
+    with zipfile.ZipFile(path) as zf:
+        files = [(name, zf.read(name)) for name in zf.namelist()]
+    extra = npy(np.zeros((1, 1)))
+    bad = tmp_path / "bad.ckpt"
+    for members in ([*files, ("tensor/hidden.npy", extra)],        # an unlisted tensor
+                    [*files, ("other.npy", extra)],                # an unlisted member
+                    [*files, ("tensor/gate.w.0.npy", extra)],      # a listed one twice
+                    [(name, data) for name, data in files
+                     if name != "tensor/gate.w.0.npy"]):           # a listed one gone
+        with warnings.catch_warnings(), zipfile.ZipFile(bad, "w") as zf:
+            warnings.simplefilter("ignore")  # zipfile warns of the duplicate name
+            for name, data in members:
+                zf.writestr(name, data)
+        with pytest.raises(persist.CorruptCheckpointError, match="members differ"):
+            persist.load(bad)
+
+
+@pytest.mark.parametrize("name", ["a,b", "line\nbreak", " padded"],
+                         ids=["comma", "newline", "padded"])
+def test_names_that_meta_cannot_list_are_refused_at_save(tmp_path, name):
+    with pytest.raises(persist.CheckpointError, match="cannot be listed"):
+        persist.save(tmp_path / "model.ckpt", tiny_lr(), extras={name: np.zeros(1)})
+
+
+def test_every_flipped_or_cut_byte_is_refused_or_loads_the_same_content(tmp_path):
+    # an LR on one field and one extra tensor: a 1.8 KB file
+    path = tmp_path / "model.ckpt"
+    persist.save(path, tiny_lr(), seed=1, epoch=2, vocab_fingerprint="ab" * 32,
+                 extras={"gate.w.0": np.array([[1.5]])})
+    blob = path.read_bytes()
+    ref = persist.load(path)
+
+    def content(c):
+        return (c.spec, c.dims, c.seed, c.epoch, c.vocab_fingerprint,
+                [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in c.tensors.items()])
+
+    bad = tmp_path / "bad.ckpt"
+    for i in range(len(blob)):
+        for mask in (0x01, 0x80):
+            flipped = bytearray(blob)
+            flipped[i] ^= mask
+            bad.write_bytes(bytes(flipped))
+            try:
+                loaded = persist.load(bad)
+            except persist.CheckpointError:
+                continue
+            assert content(loaded) == content(ref), (i, mask)
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(persist.CorruptCheckpointError):
+            persist.load(bad)
+
+
+def test_a_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    persist.save(path, tiny_lr(seed=0))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        persist.save(path, tiny_lr(seed=1))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
