@@ -8,9 +8,11 @@ only and frozen afterwards.
 """
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,6 +20,21 @@ from typing import Iterable, Sequence
 import numpy as np
 
 UNK_INDEX = 0
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **open_args):
+    """Open a temporary file beside ``path`` for the block to write. It
+    replaces ``path`` only once the block has written it whole; on any
+    failure it is removed, and ``path`` keeps what it held before."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the replace failed
+            os.remove(tmp)
 
 
 class TableSchema:
@@ -174,7 +191,8 @@ class EncodedDataset:
                    np.concatenate([p._labels for p in parts]))
 
     def save_npz(self, path) -> None:
-        np.savez(path, cat=self.cat, num=self.num, labels=self._labels)
+        with replacing(path) as f:
+            np.savez(f, cat=self.cat, num=self.num, labels=self._labels)
 
     @classmethod
     def load_npz(cls, path) -> "EncodedDataset":

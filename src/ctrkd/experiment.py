@@ -19,7 +19,8 @@ import numpy as np
 from . import persist
 from .config import (KD_STUDENT, PLAIN_STUDENT, TEACHERS_AVG, ExperimentConfig,
                      format_kv, parse_kv)
-from .data import EncodedDataset, FeatureVocabulary, encode_rows, read_rows, split_rows
+from .data import (EncodedDataset, FeatureVocabulary, encode_rows, read_rows, replacing,
+                   split_rows)
 from .distill import COTRAIN, PRETRAIN
 from .metrics import auc, logloss
 from .models import FieldDims, Model
@@ -52,9 +53,9 @@ def run_stage(stage: str, cfg: ExperimentConfig):
 
 
 def _write(path: str, text: str) -> None:
-    """Write a text artifact: UTF-8, with ``text``'s line ends untranslated.
-    Every text file a run writes goes through here."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    """Write a text artifact whole or not at all: UTF-8, with ``text``'s line
+    ends untranslated. Every text file a run writes goes through here."""
+    with replacing(path, "w", newline="", encoding="utf-8") as f:
         f.write(text)
 
 
@@ -174,8 +175,8 @@ def stage_teachers_from_disk(cfg: ExperimentConfig) -> list[dict]:
             perm = np.random.default_rng(part_seed).permutation(len(pool))
             cut = len(art.train)
             train_idx, val_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
-            np.savez(os.path.join(directory, f"{name}.partition.npz"),
-                     train=train_idx, val=val_idx)
+            with replacing(os.path.join(directory, f"{name}.partition.npz")) as f:
+                np.savez(f, train=train_idx, val=val_idx)
             train_ds, val_ds = pool.subset(train_idx), pool.subset(val_idx)
         entries.append(_train_and_save(cfg, art, directory, name, f"teacher/{name}",
                                        spec, seed, train_ds, val_ds))

@@ -12,12 +12,17 @@ Numeric features feed the MLP and CrossNet as raw (already transformed)
 scalars; FM and CIN need field vectors, so each numeric field gets a
 learned d-dimensional projection of its scalar value.
 
-DNN, wide&deep and DCN gather their MLP and CrossNet input row with one
-``tensor.field_row`` node per batch; DCN's two parts share it. FM and CIN
-read each field's vector on its own, so DeepFM and xDeepFM gather each
-field with ``tensor.rows`` and concatenate the vectors for their MLP:
-whole-tensor FM and CIN ops over one (B, F, d) view were slower at
-prediction, used more memory and changed the trained bits.
+Every model with embeddings gathers one input row per batch with one
+``tensor.field_row`` node, and all its parts read that row: the MLP, the
+CrossNet, and FM and CIN through ``tensor.fm_pair`` and
+``tensor.cin_maps``, which take the row's d-wide field slices and the
+projected numerics. ``tensor.linear_sum`` is the LR/FM linear logit in one
+node. Each op gives the bits of the per-field chain it replaces: sums run
+slice by slice in field order, and ``fm_pair`` adds its two adjoint terms
+to the MLP's in the chain's order, so a row that feeds both sums its three
+terms as before. Whole-tensor FM and CIN ops that reduced over a
+(B, F, d) view summed in another order: they changed the trained bits and
+were slower at prediction.
 """
 from __future__ import annotations
 
@@ -279,41 +284,15 @@ class Model:
             raise ValueError("cat and num batch sizes differ")
         return cat, num
 
-    def _field_vectors(self, embeds, num):
-        """Per-field d-dim vectors for FM/CIN: embeddings + projected numerics."""
-        vectors = list(embeds)
-        for j, proj in enumerate(self.numeric_proj):
-            vectors.append(T.matmul(Tensor(num[:, j:j + 1]), proj))
-        return vectors
-
     def _linear_logit(self, cat, num):
-        out = self.linear_bias
-        for i, table in enumerate(self.linear_cat):
-            out = T.add(T.rows(table, cat[:, i]), out)
-        if self.linear_num is not None:
-            out = T.add(out, T.matmul(Tensor(num), self.linear_num))
-        return out
+        return T.linear_sum(self.linear_cat, cat, num, self.linear_num, self.linear_bias)
 
-    def _fm(self, cat, num, embeds):
+    def _fm(self, cat, num, row):
         linear = self._linear_logit(cat, num)
-        vectors = self._field_vectors(embeds, num)
         # sum_{i<j} <v_i, v_j> via 0.5 * ((sum v)^2 - sum v^2)
-        total = vectors[0]
-        total_sq = T.square(vectors[0])
-        for v in vectors[1:]:
-            total = T.add(total, v)
-            total_sq = T.add(total_sq, T.square(v))
-        pair = T.mul(T.sub(T.square(total), total_sq), 0.5)
+        pair = T.fm_pair(row, num, self.numeric_proj, self.spec.embedding_dim)
         logit = T.add(linear, T.reduce_sum(pair, axis=1, keepdims=True))
         return logit, pair
-
-    def _concat(self, num, embeds):
-        """The MLP input of DeepFM and xDeepFM: every field's embedding, then
-        the raw numerics."""
-        parts = list(embeds)
-        if self.dims.n_numeric:
-            parts.append(Tensor(num))
-        return T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
 
     def _cross(self, row):
         # A no-op node in front of the cross layers sums their adjoint terms
@@ -327,12 +306,11 @@ class Model:
         logit = T.linear(x, self.cross_head_w, self.cross_head_b)
         return logit, x
 
-    def _cin(self, num, embeds):
-        fields = self._field_vectors(embeds, num)
-        b = fields[0].shape[0]
+    def _cin(self, num, row):
+        b = row.shape[0]
         d = self.spec.embedding_dim
         # columns of fmat are the base feature maps X^0, flattened over (b, d)
-        fmat = T.concat([T.reshape(v, (b * d, 1)) for v in fields], axis=1)
+        fmat = T.cin_maps(row, num, self.numeric_proj, d)
         prev = fmat
         pooled = []
         for w, h in zip(self.cin_w, self.spec.cin_maps):
@@ -357,23 +335,19 @@ class Model:
         part exists, else the wide part's pre-head vector."""
         cat, num = self._inputs(cat, num)
         wide = self.spec.wide
-        if wide in ("fm", "cin"):
-            embeds = [T.rows(table, cat[:, i]) for i, table in enumerate(self.embeddings)]
-        elif self.spec.needs_embeddings:
+        if self.spec.needs_embeddings:
             row = T.field_row(self.embeddings, cat, num)
         parts = []  # (logit, vector) of the wide part, then of the deep part
         if wide == "lr":
             linear = self._linear_logit(cat, num)
             parts.append((linear, linear))
         elif wide == "fm":
-            parts.append(self._fm(cat, num, embeds))
+            parts.append(self._fm(cat, num, row))
         elif wide == "cross":
             parts.append(self._cross(row))
         elif wide == "cin":
-            parts.append(self._cin(num, embeds))
+            parts.append(self._cin(num, row))
         if self.spec.deep:
-            if wide in ("fm", "cin"):
-                row = self._concat(num, embeds)
             parts.append(self._deep(row, training, rng))
         logit = parts[0][0] if len(parts) == 1 else T.add(parts[0][0], parts[1][0])
         return logit, parts[-1][1]

@@ -10,7 +10,6 @@ to its end, where zipfile checks its CRC32: a truncated or corrupt file raises
 from __future__ import annotations
 
 import math
-import os
 import tokenize
 import zipfile
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import format_kv, parse_kv
+from .data import replacing
 from .models import FieldDims, Model, ModelSpec
 
 _V1_MAGIC = b"CTRKDCP\x01"  # how files in the earlier hand-rolled layout begin
@@ -105,14 +105,8 @@ def save(path, model: Model, *, seed: int = 0, epoch: int = 0,
             raise CheckpointError(f"tensor name {name!r} cannot be listed in meta")
         if arr.dtype != _F64:
             raise CheckpointError(f"unsupported tensor dtype {arr.dtype} for {name}")
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            np.savez(f, allow_pickle=False, **members)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write or the replace failed
-            os.remove(tmp)
+    with replacing(path) as f:
+        np.savez(f, allow_pickle=False, **members)
 
 
 def load(path) -> Checkpoint:

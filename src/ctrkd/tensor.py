@@ -23,7 +23,8 @@ table-sized array. Everything else densifies it first: a second backward
 into the same leaf, two adjoints meeting at one node, a table an op
 produced. Reading ``.grad`` densifies too, so every reader sees the same
 dense ndarray, bit for bit, as the dense scatter would have given; smaller
-tables get that scatter directly.
+tables get that scatter directly. ``fm_pair`` leaves its adjoint of a row
+unbuilt in the same way, and ``field_row`` builds it one field at a time.
 
 Inside a ``no_grad()`` block ops record nothing: they compute the same
 values, but their outputs have no parents and ``requires_grad`` False, so
@@ -75,7 +76,14 @@ class RowGrad(NamedTuple):
 
 
 def _dense(g, like: np.ndarray) -> np.ndarray:
-    return g.dense(like) if isinstance(g, RowGrad) else g
+    return g.dense(like) if isinstance(g, (RowGrad, _FMRowAdjoint)) else g
+
+
+def _sum(acc, g, like: np.ndarray):
+    """Two adjoints of one tensor added: ``acc + g``, dense, or for an
+    ``_FMRowAdjoint`` g the same sum, still unbuilt."""
+    acc = _dense(acc, like)
+    return g.after(acc) if isinstance(g, _FMRowAdjoint) else acc + _dense(g, like)
 
 
 class Tensor:
@@ -147,10 +155,9 @@ class Tensor:
             if t._grad_fn is None:
                 t._accumulate(g)
             else:
-                for parent, pg in t._grad_fn(_dense(g, t.values)):
+                for parent, pg in t._grad_fn(g):
                     acc = adjoints.get(id(parent))
-                    adjoints[id(parent)] = (pg if acc is None else
-                                            _dense(acc, parent.values) + _dense(pg, parent.values))
+                    adjoints[id(parent)] = pg if acc is None else _sum(acc, pg, parent.values)
 
     def _accumulate(self, g) -> None:
         if isinstance(g, RowGrad) and self._grad is None and self._row_grad is None:
@@ -217,17 +224,25 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _from_op(values, op: str, *inputs: tuple[Tensor, Adjoint]) -> Tensor:
+def _from_op(values, op: str, *inputs: tuple[Tensor, Adjoint],
+             takes_fm_rows: bool = False) -> Tensor:
     """Output of ``op`` on ``inputs``, each an (input, adjoint) pair whose
     adjoint maps the output's adjoint to that input's. Records a graph only
     when grad mode is on and some input requires a gradient; backward then
-    runs the adjoints of those inputs only, in input order."""
+    runs the adjoints of those inputs only, in input order. Each adjoint
+    gets the output's adjoint as a dense array; an op built with
+    ``takes_fm_rows`` gets an ``_FMRowAdjoint`` as it is."""
     out = Tensor(values)
     live = [(t, adjoint) for t, adjoint in inputs if t.requires_grad] if _grad_enabled else ()
     if live:
+        def grad_fn(g):
+            if not (takes_fm_rows and isinstance(g, _FMRowAdjoint)):
+                g = _dense(g, values)
+            return [(t, adjoint(g)) for t, adjoint in live]
+
         out.requires_grad = True
         out._parents = tuple([t for t, _ in inputs])
-        out._grad_fn = lambda g: [(t, adjoint(g)) for t, adjoint in live]
+        out._grad_fn = grad_fn
         out._op = op
     return out
 
@@ -520,6 +535,25 @@ def rows(table, indices) -> Tensor:
                     (table, _scatter(idx, table.shape[0])))
 
 
+def _field_inputs(tables, cat, num, op: str):
+    """``tables`` as tensors, ``num`` as float64 and each field's checked
+    index column, for an op that gathers row ``cat[:, i]`` of table i."""
+    tables = [as_tensor(t) for t in tables]
+    cat = np.asarray(cat)
+    num = np.asarray(num, dtype=np.float64)
+    if cat.ndim != 2 or cat.shape[1] != len(tables):
+        raise ValueError(f"{op}: cat of shape {cat.shape} does not have "
+                         f"one column per table ({len(tables)})")
+    if num.ndim != 2 or num.shape[0] != cat.shape[0]:
+        raise ValueError(f"{op}: num of shape {num.shape} does not have "
+                         f"{cat.shape[0]} rows")
+    for t in tables:
+        _check_table(t, op)
+    index = [_checked_index(cat[:, i], t.shape[0], f"{op} field {i}")
+             for i, t in enumerate(tables)]
+    return tables, num, index
+
+
 def field_row(tables, cat, num) -> Tensor:
     """One input row per example: field i's row ``cat[:, i]`` of ``tables[i]``
     in its own column slice, then the numeric columns ``num``.
@@ -528,19 +562,7 @@ def field_row(tables, cat, num) -> Tensor:
     each table's adjoint is the scatter ``rows`` gives that table's column
     slice of the output's adjoint, so values and gradients agree bit for bit.
     """
-    tables = [as_tensor(t) for t in tables]
-    cat = np.asarray(cat)
-    num = np.asarray(num, dtype=np.float64)
-    if cat.ndim != 2 or cat.shape[1] != len(tables):
-        raise ValueError(f"field_row: cat of shape {cat.shape} does not have "
-                         f"one column per table ({len(tables)})")
-    if num.ndim != 2 or num.shape[0] != cat.shape[0]:
-        raise ValueError(f"field_row: num of shape {num.shape} does not have "
-                         f"{cat.shape[0]} rows")
-    for t in tables:
-        _check_table(t, "field_row")
-    index = [_checked_index(cat[:, i], t.shape[0], f"field_row field {i}")
-             for i, t in enumerate(tables)]
+    tables, num, index = _field_inputs(tables, cat, num, "field_row")
     stops = np.cumsum([0] + [t.shape[1] for t in tables])
     fields = list(zip(tables, index, stops[:-1], stops[1:]))
     out = np.empty((cat.shape[0], stops[-1] + num.shape[1]))
@@ -550,10 +572,180 @@ def field_row(tables, cat, num) -> Tensor:
     out[:, stops[-1]:] = num
 
     def piece(scatter, start, stop):
-        return lambda g: scatter(g[:, start:stop])
+        return lambda g: scatter(g.columns(start, stop) if isinstance(g, _FMRowAdjoint)
+                                 else g[:, start:stop])
 
     return _from_op(out, "field_row", *((t, piece(_scatter(idx, t.shape[0]), start, stop))
-                                        for t, idx, start, stop in fields))
+                                        for t, idx, start, stop in fields), takes_fm_rows=True)
+
+
+def linear_sum(tables, cat, num, w, b) -> Tensor:
+    """The logit column b + sum_i tables[i][cat[:, i]] + num @ w of an LR part,
+    for (v_i, 1) tables, an (n, 1) weight ``w`` (None when there are no
+    numerics) and a (1, 1) bias ``b``.
+
+    One node for the chain of per-field ``rows`` and ``add`` nodes: the value
+    adds the terms in that chain's order, and every input's adjoint is the
+    one the chain gave it (the scatter of ``rows``, ``num.T @ g``, the sum of
+    ``g``)."""
+    tables, num, index = _field_inputs(tables, cat, num, "linear_sum")
+    b = as_tensor(b)
+    if b.shape != (1, 1) or any(t.shape[1] != 1 for t in tables):
+        raise ValueError("linear_sum expects (v, 1) tables and a (1, 1) bias")
+    if w is not None:
+        w = as_tensor(w)
+        if w.shape != (num.shape[1], 1):
+            raise ValueError(f"linear_sum: weight shape {w.shape} is not ({num.shape[1]}, 1)")
+    elif num.shape[1]:
+        raise ValueError("linear_sum: numeric columns need a weight")
+    if not tables and w is None:
+        raise ValueError("linear_sum of no inputs")
+    terms = [np.take(t.values, idx, axis=0) for t, idx in zip(tables, index)]
+    if w is not None:
+        terms.append(num @ w.values)
+    out = b.values + terms[0]
+    for term in terms[1:]:
+        out += term
+    inputs = [(b, lambda g: _fit(g, b.values))]
+    inputs += [(t, _scatter(idx, t.shape[0])) for t, idx in zip(tables, index)]
+    if w is not None:
+        inputs.append((w, lambda g: num.T @ g))
+    return _from_op(out, "linear_sum", *inputs)
+
+
+def _field_vectors(row, num, projs, width: int, op: str):
+    """The m field vectors that FM and CIN read: the d-wide column slices of
+    the first F·d columns of a ``field_row`` row, then num[:, j:j+1] @
+    projs[j] for each numeric column, as views and fresh arrays."""
+    row, projs = as_tensor(row), [as_tensor(p) for p in projs]
+    num = np.asarray(num, dtype=np.float64)
+    if row.ndim != 2 or num.ndim != 2 or num.shape != (row.shape[0], len(projs)):
+        raise ValueError(f"{op}: num of shape {num.shape} needs {row.shape[0]} rows "
+                         f"and one column per projection ({len(projs)})")
+    fields, rest = divmod(row.shape[1] - num.shape[1], max(width, 1))
+    if width < 1 or fields < 0 or rest:
+        raise ValueError(f"{op}: a row of width {row.shape[1]} is not d = {width} wide "
+                         f"fields then {num.shape[1]} numerics")
+    if any(p.shape != (1, width) for p in projs):
+        raise ValueError(f"{op}: every projection must have shape (1, {width})")
+    if fields + len(projs) == 0:
+        raise ValueError(f"{op} of no fields")
+    vectors = [row.values[:, i * width:(i + 1) * width] for i in range(fields)]
+    vectors += [num[:, j:j + 1] @ p.values for j, p in enumerate(projs)]
+    return row, projs, num, fields, vectors
+
+
+class _FMRowAdjoint:
+    """``fm_pair``'s adjoint of its (B, W) row, left unbuilt. In field slice
+    i it is a + b, with a = −g·vᵢ and b = g·S (field 0: a = g·S and
+    b = −g·v₀), and it is zero in the numeric columns. After ``acc``, an
+    adjoint the row gathered before it, the sum is (acc + a) + b: the order
+    in which the per-field chain added an MLP's term and its own two.
+    ``field_row`` asks for one field's columns at a time, so neither the
+    terms nor the sum is ever built as a row-sized array."""
+
+    __slots__ = ("acc", "g_minus", "g_total", "row", "fields", "width")
+
+    def __init__(self, acc, g_minus, g_total, row: np.ndarray, fields: int, width: int):
+        self.acc, self.g_minus, self.g_total, self.row = acc, g_minus, g_total, row
+        self.fields, self.width = fields, width
+
+    def after(self, acc: np.ndarray) -> "_FMRowAdjoint":
+        return _FMRowAdjoint(acc, self.g_minus, self.g_total, self.row, self.fields, self.width)
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """Columns start:stop of the sum, as a fresh array."""
+        d, acc = self.width, self.acc
+        field, rest = divmod(start, d)
+        if field >= self.fields:  # the numeric columns, where the terms are zero
+            return np.zeros((self.row.shape[0], stop - start)) if acc is None else (
+                acc[:, start:stop] + 0.0)
+        if rest or stop != start + d:
+            return self.dense(self.row)[:, start:stop]
+        v = self.row[:, start:stop]
+        if field == 0:
+            out = self.g_total if acc is None else acc[:, :d] + self.g_total
+            return out + self.g_minus * v
+        out = self.g_minus * v
+        if acc is not None:
+            out += acc[:, start:stop]
+        out += self.g_total
+        return out
+
+    def dense(self, like: np.ndarray) -> np.ndarray:
+        out = np.empty(self.row.shape)
+        span = self.fields * self.width
+        for start in range(0, span, self.width):
+            out[:, start:start + self.width] = self.columns(start, start + self.width)
+        out[:, span:] = self.columns(span, out.shape[1])
+        return out
+
+
+def fm_pair(row, num, projs, width: int) -> Tensor:
+    """The FM pair term 0.5 * ((sum v)^2 - sum v^2), shape (B, d), over the
+    field vectors v of a ``field_row`` row with d = ``width``: its F field
+    slices, then num[:, j:j+1] @ projs[j] for each (1, d) projection. The
+    row's numeric columns are not read.
+
+    One node for the chain of ``add``, ``square``, ``sub`` and ``mul`` nodes
+    over per-field vectors, with its bits. Each sum is built slice by slice,
+    in place and in field order. A vector's adjoint is g·S − g·v, with S the
+    sum; the row's is an ``_FMRowAdjoint``, which adds the two terms to the
+    row's other adjoint in the order the chain did.
+    """
+    row, projs, num, fields, vectors = _field_vectors(row, num, projs, width, "fm_pair")
+    total = vectors[0].copy()
+    total_sq = np.square(vectors[0])
+    square = np.empty_like(total)
+    for v in vectors[1:]:
+        total += v
+        total_sq += np.square(v, out=square)
+    pair = np.square(total)
+    pair -= total_sq
+    pair *= 0.5
+
+    def build(g):
+        # −g and g·S as the chain rounded them, through its 0.5 and 2.0
+        g = g * 0.5 * 2.0
+        return -g, g * total
+
+    terms, take_terms = _shared(build)
+
+    def proj_adjoint(j: int):
+        def adjoint(g):
+            g_minus, g_total = terms(g)
+            return num[:, j:j + 1].T @ (g_minus * vectors[fields + j] + g_total)
+        return adjoint
+
+    return _from_op(pair, "fm_pair", *((p, proj_adjoint(j)) for j, p in enumerate(projs)),
+                    (row, lambda g: _FMRowAdjoint(None, *take_terms(g), row.values, fields, width)))
+
+
+def cin_maps(row, num, projs, width: int) -> Tensor:
+    """xDeepFM's base feature maps X^0 as one (B·d, m) matrix: column k is
+    field vector k (as in ``fm_pair``) flattened over (B, d). One node for
+    the per-field ``reshape`` nodes and their ``concat``, with their bits."""
+    row, projs, num, fields, vectors = _field_vectors(row, num, projs, width, "cin_maps")
+    n, m, span = row.shape[0], len(vectors), fields * width
+    out = np.empty((n * width, m))
+    maps = out.reshape(n, width, m)
+    maps[:, :, :fields] = row.values[:, :span].reshape(n, fields, width).transpose(0, 2, 1)
+    for j in range(len(projs)):
+        maps[:, :, fields + j] = vectors[fields + j]
+
+    def row_adjoint(g):
+        out = np.empty(row.shape)
+        out[:, :span].reshape(n, fields, width)[...] = (
+            g.reshape(n, width, m)[:, :, :fields].transpose(0, 2, 1))
+        out[:, span:] = 0.0
+        return out
+
+    def proj_adjoint(j: int):
+        k = fields + j
+        return lambda g: num[:, j:j + 1].T @ g[:, k:k + 1].reshape(n, width)
+
+    return _from_op(out, "cin_maps", (row, row_adjoint),
+                    *((p, proj_adjoint(j)) for j, p in enumerate(projs)))
 
 
 def cin_layer(prev, fmat, w) -> Tensor:

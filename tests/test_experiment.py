@@ -247,6 +247,43 @@ def test_make_ensemble_mode_d_needs_two_partitions(tmp_path):
         load_cfg(tiny_config(tmp_path, extra="ensemble.mode = D\nensemble.partitions = 1\n"))
 
 
+def _text_artifact(tmp_path):
+    path = tmp_path / "status.txt"
+    return path, lambda: experiment._write(str(path), "ok\n")
+
+
+def _split(tmp_path):
+    path = tmp_path / "train.npz"
+    ds = EncodedDataset(np.zeros((3, 1)), np.zeros((3, 0)), np.zeros(3))
+    return path, lambda: ds.save_npz(path)
+
+
+def _partition(tmp_path):
+    # the mode-D teacher stage writes partition 0 before it trains anything
+    cfg = load_cfg(tiny_config(tmp_path, extra="ensemble.mode = D\nensemble.partitions = 2\n"))
+    experiment.stage_preprocess(cfg)
+    (tmp_path / "out" / "teachers").mkdir()
+    path = tmp_path / "out" / "teachers" / "fm-p0.partition.npz"
+    return path, lambda: experiment.stage_teachers_from_disk(cfg)
+
+
+@pytest.mark.parametrize("prepare", [_text_artifact, _split, _partition],
+                         ids=["text", "split", "partition"])
+def test_a_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch, prepare):
+    path, write = prepare(tmp_path)
+    path.write_bytes(b"previous")
+    before = sorted(os.listdir(path.parent))
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    assert path.read_bytes() == b"previous"
+    assert sorted(os.listdir(path.parent)) == before  # no temporary file is left
+
+
 def test_evaluate_adds_teacher_average_row(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path, extra=(
         "ensemble.mode = M\nensemble.teachers = fm,lr\n")))

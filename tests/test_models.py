@@ -320,23 +320,69 @@ def test_inference_values_equal_the_eval_forward_bitwise():
         assert h2.tobytes() == hint.values.tobytes(), name
 
 
-def test_dnn_and_dcn_gather_their_input_in_one_node():
-    # 26 fields give 26 tables but one field_row node; a per-field chain
-    # would add 26 rows nodes and a concat per part that reads the row
+def _criteo_graph(spec):
+    """The loss graph of ``spec`` on a batch of 8 rows of 26 categorical
+    fields and 13 numerics."""
     dims = FieldDims((30,) * 26, 13)
     rng = np.random.default_rng(0)
     cat = rng.integers(0, 30, size=(8, 26))
     num = rng.normal(size=(8, 13))
     y = (rng.random((8, 1)) < 0.5).astype(float)
+    model = Model(spec, dims, seed=1)
+    loss = T.bce_with_logits(model.forward(cat, num)[0], y)
+    return T.ComputationRecord.trace(loss).nodes
+
+
+def test_dnn_and_dcn_gather_their_input_in_one_node():
+    # 26 fields give 26 tables but one field_row node; a per-field chain
+    # would add 26 rows nodes and a concat per part that reads the row
     # DNN: 32 parameters; field_row, 2 x (linear, relu), head, loss.
     # DCN: 40 parameters; field_row, its no-op reshape, 3 cross layers,
     # cross head, 2 x (linear, relu), MLP head, add, loss.
     for spec, nodes in [(ModelSpec.dnn((16, 8), 4), 39), (ModelSpec.dcn(3, (16, 8), 4), 53)]:
-        model = Model(spec, dims, seed=1)
-        loss = T.bce_with_logits(model.forward(cat, num)[0], y)
-        record = T.ComputationRecord.trace(loss)
-        assert len(record.nodes) == nodes, spec
-        assert sum(t._op == "field_row" for t in record.nodes) == 1, spec
+        record = _criteo_graph(spec)
+        assert len(record) == nodes, spec
+        assert sum(t._op == "field_row" for t in record) == 1, spec
+
+
+def test_fm_family_gathers_once_and_fuses_its_chains():
+    # 26 tables and 13 numeric projections, but one field_row node that
+    # the FM or CIN part and the MLP both read. Per-field rows and the FM,
+    # linear-logit and CIN chains gave FM 281 nodes, DeepFM 294, xDeepFM 144.
+    # FM: 67 parameters; field_row, linear_sum, fm_pair, reduce_sum, add, loss.
+    # DeepFM: 73 parameters; FM's 5 nodes, 2 x (linear, relu), MLP head, add, loss.
+    # xDeepFM: 49 parameters; field_row, cin_maps, 2 x (cin_layer, reshape,
+    # reduce_sum), concat, CIN head, 2 x (linear, relu), MLP head, add, loss.
+    for spec, nodes in [(ModelSpec.fm(4), 73), (ModelSpec.deepfm((16, 8), 4), 85),
+                        (ModelSpec.xdeepfm((4, 4), (16, 8), 4), 66)]:
+        record = _criteo_graph(spec)
+        assert len(record) == nodes, spec
+        ops = [t._op for t in record]
+        assert ops.count("field_row") == 1 and "rows" not in ops, spec
+
+
+def test_a_row_gets_its_chunk_logit_in_any_batch_of_a_multiple_of_four_rows():
+    # Logits inferred once over 8192-row chunks can stand for those of the
+    # training batches only if a row's logit does not depend on its batch.
+    # BLAS runs the last (B mod 4) rows of a product through another kernel
+    # path, so only batches of a multiple of 4 rows are pinned; the tail rows
+    # of other batches may differ in the last bits.
+    dims = FieldDims((50, 40, 30, 20, 10, 5), 3)
+    rng = np.random.default_rng(8)
+    chunk = 8192
+    cat = np.stack([rng.integers(0, v, size=chunk) for v in dims.vocab_sizes], axis=1)
+    num = rng.normal(size=(chunk, dims.n_numeric))
+    for name in PRESETS:
+        model = Model(spec_from_preset(name, embedding_dim=4, hidden=(16, 8), cin_maps=(3, 2)),
+                      dims, seed=2)
+        for p in model.parameters():  # the LR and FM linear parts start at zero
+            p.values += rng.normal(scale=0.1, size=p.shape)
+        whole = model.logit_values(cat, num)
+        for size in (4, 8, 252, 2000):
+            for _ in range(3):
+                rows = rng.choice(chunk, size=size, replace=False)
+                batch = model.logit_values(cat[rows], num[rows])
+                assert batch.tobytes() == whole[rows].tobytes(), (name, size)
 
 
 def test_predict_sigmoid_mapping():

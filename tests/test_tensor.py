@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctrkd import tensor as T
 from ctrkd.tensor import Tensor, parameter
@@ -630,6 +632,210 @@ def test_field_row_gradcheck():
     w = parameter(rng.normal(size=(8, 1)), "w")
     check_grads(lambda: T.reduce_sum(T.square(T.matmul(T.field_row(tables, cat, num), w))),
                 [*tables, w], tol=1e-6)
+
+
+# -- fm_pair, cin_maps and linear_sum: the FM family's fused ops ------------
+
+def _fm_inputs(vocab_sizes, n_numeric, d, batch, seed):
+    """Embedding tables, (v, 1) linear tables, (1, d) projections, a numeric
+    weight and a batch, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    tables = _field_tables(rng, vocab_sizes, d)
+    linear = [parameter(rng.normal(size=(v, 1)), f"lin.{i}") for i, v in enumerate(vocab_sizes)]
+    projs = [parameter(rng.normal(size=(1, d)), f"proj.{j}") for j in range(n_numeric)]
+    w = parameter(rng.normal(size=(n_numeric, 1)), "w") if n_numeric else None
+    b = parameter(rng.normal(size=(1, 1)), "b")
+    if vocab_sizes:
+        cat, num = _field_batch(rng, vocab_sizes, batch, n_numeric)
+    else:
+        cat, num = np.zeros((batch, 0), dtype=np.int32), rng.normal(size=(batch, n_numeric))
+    return tables, linear, projs, w, b, cat, num
+
+
+def _chain_vectors(tables, cat, num, projs):
+    """The per-field vectors the FM and CIN chains read: one ``rows`` node per
+    field, then one ``matmul`` per numeric column."""
+    return ([T.rows(t, cat[:, i]) for i, t in enumerate(tables)]
+            + [T.matmul(Tensor(num[:, j:j + 1]), p) for j, p in enumerate(projs)])
+
+
+def _chain_fm_pair(vectors):
+    """The add/square/sub/mul chain that ``fm_pair`` fuses."""
+    total, total_sq = vectors[0], T.square(vectors[0])
+    for v in vectors[1:]:
+        total = T.add(total, v)
+        total_sq = T.add(total_sq, T.square(v))
+    return T.mul(T.sub(T.square(total), total_sq), 0.5)
+
+
+def _chain_cin_maps(vectors, d):
+    """The per-field reshapes and the concat that ``cin_maps`` fuses."""
+    b = vectors[0].shape[0]
+    return T.concat([T.reshape(v, (b * d, 1)) for v in vectors], axis=1)
+
+
+def _chain_linear_sum(tables, cat, num, w, b):
+    """The per-field ``rows`` and ``add`` chain that ``linear_sum`` fuses."""
+    out = b
+    for i, t in enumerate(tables):
+        out = T.add(T.rows(t, cat[:, i]), out)
+    if w is not None:
+        out = T.add(out, T.matmul(Tensor(num), w))
+    return out
+
+
+def _chain_mlp_row(vectors, tables, num):
+    """The MLP input the chain concatenated from the same per-field vectors."""
+    parts = vectors[:len(tables)] + ([Tensor(num)] if num.shape[1] else [])
+    return T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+
+
+FIELD_CASES = pytest.mark.parametrize("vocab_sizes,n_numeric", [
+    ((40, 50, 60), 2),  # every table has twice the batch's rows: RowGrad
+    ((5, 7, 4), 2),  # smaller tables: the dense scatter
+    ((40, 3), 2),  # one of each
+    ((40, 50), 0),  # no numerics
+    ((40,), 0),  # one field and nothing else
+    ((6,), 3),  # one field
+    ((), 3),  # numerics only
+], ids=["row-sparse", "dense", "mixed", "no-numerics", "one-field-alone", "one-field",
+        "numerics-only"])
+
+
+def _fm_family_loss(fused, vocab_sizes, n_numeric, part):
+    """A DeepFM- or xDeepFM-shaped loss over one draw of the inputs, built
+    with the fused ops or with the chains they replace; returns the loss
+    value and every gradient as bytes. The FM or CIN part is built first
+    and an MLP layer then reads the same row, as in the models; in part
+    "fm-after-mlp" the MLP layer comes first, so the row's adjoint gets the
+    FM terms before the MLP's."""
+    d, batch = 3, 12
+    tables, linear, projs, w, b, cat, num = _fm_inputs(vocab_sizes, n_numeric, d, batch,
+                                                          seed=sum(vocab_sizes) + n_numeric)
+    rng = np.random.default_rng(5)
+    width = len(vocab_sizes) * d + n_numeric
+    mw, mb = Tensor(rng.normal(size=(width, 2))), Tensor(rng.normal(size=(1, 2)))
+    if fused:
+        row = T.field_row(tables, cat, num)
+        make_row = lambda: row
+        make_wide = lambda: (T.cin_maps if part == "cin" else T.fm_pair)(row, num, projs, d)
+    else:
+        vectors = _chain_vectors(tables, cat, num, projs)
+        make_row = lambda: _chain_mlp_row(vectors, tables, num)
+        make_wide = lambda: (_chain_cin_maps(vectors, d) if part == "cin"
+                             else _chain_fm_pair(vectors))
+    if part == "fm-after-mlp":
+        deep = T.reduce_sum(T.relu(T.linear(make_row(), mw, mb)))
+        wide = make_wide()
+    else:
+        wide = make_wide()
+        deep = T.reduce_sum(T.relu(T.linear(make_row(), mw, mb)))
+    if part == "cin":
+        cw0, cw1 = (Tensor(rng.normal(size=shape)) for shape in [(2, wide.shape[1] ** 2),
+                                                                 (2, 2 * wide.shape[1])])
+        first = T.cin_layer(wide, wide, cw0)
+        wide = T.add(T.reduce_sum(T.square(first)), T.reduce_sum(T.cin_layer(first, wide, cw1)))
+    logit = (_chain_linear_sum if not fused else T.linear_sum)(linear, cat, num, w, b)
+    loss = T.add(T.add(T.reduce_sum(T.square(wide)), T.reduce_sum(T.square(logit))), deep)
+    loss.backward()
+    params = [*tables, *linear, *projs, b] + ([w] if w is not None else [])
+    return loss.values.tobytes(), _grad_state(params)
+
+
+@FIELD_CASES
+@pytest.mark.parametrize("part", ["fm", "fm-after-mlp", "cin"])
+def test_fm_family_ops_are_bitwise_the_chains_they_replace(vocab_sizes, n_numeric, part):
+    chain = _fm_family_loss(False, vocab_sizes, n_numeric, part)
+    fused = _fm_family_loss(True, vocab_sizes, n_numeric, part)
+    assert fused == chain
+
+
+@FIELD_CASES
+def test_fm_pair_alone_is_bitwise_its_chain(vocab_sizes, n_numeric):
+    # FM without an MLP: each field vector sums just the two FM terms
+    results = []
+    for fused in (False, True):
+        tables, _, projs, _, _, cat, num = _fm_inputs(vocab_sizes, n_numeric, 2, 9, seed=3)
+        pair = (T.fm_pair(T.field_row(tables, cat, num), num, projs, 2) if fused
+                else _chain_fm_pair(_chain_vectors(tables, cat, num, projs)))
+        T.reduce_sum(T.mul(T.reduce_sum(pair, axis=1, keepdims=True), Tensor(num[:, :1] + 1.0)
+                           if n_numeric else 1.0)).backward()
+        results.append((pair.values.tobytes(), _grad_state([*tables, *projs])))
+    assert results[0] == results[1]
+
+
+FIELD_SHAPES = st.tuples(st.lists(st.integers(1, 30), max_size=3),  # vocabulary sizes
+                         st.integers(0, 2),  # numerics
+                         st.integers(1, 3),  # d
+                         st.integers(1, 6),  # batch
+                         st.integers(0, 2**31 - 1)).filter(lambda s: s[0] or s[1])
+
+
+@given(shape=FIELD_SHAPES)
+def test_fm_family_ops_gradcheck_and_no_grad_values(shape):
+    vocab_sizes, n_numeric, d, batch, seed = shape
+    tables, linear, projs, w, b, cat, num = _fm_inputs(vocab_sizes, n_numeric, d, batch, seed)
+    # the ops read a row as a parameter too: its numeric columns get no gradient
+    row = parameter(np.random.default_rng(seed).normal(size=(batch, len(tables) * d + n_numeric)),
+                    "row")
+    ops = {
+        "fm_pair": (lambda: T.fm_pair(row, num, projs, d), [row, *projs]),
+        "fm_pair_of_field_row": (lambda: T.fm_pair(T.field_row(tables, cat, num), num, projs, d),
+                                 [*tables, *projs]),
+        "cin_maps": (lambda: T.cin_maps(row, num, projs, d), [row, *projs]),
+        "linear_sum": (lambda: T.linear_sum(linear, cat, num, w, b),
+                       [*linear, b] + ([w] if w is not None else [])),
+    }
+    weights = np.random.default_rng(seed + 1)
+    for name, (build, params) in ops.items():
+        out = build()
+        with T.no_grad():
+            again = build()
+        assert not again.requires_grad and again.values.tobytes() == out.values.tobytes(), name
+        mix = Tensor(weights.normal(size=out.shape))
+        check_grads(lambda: T.reduce_sum(T.square(T.mul(build(), mix))), params, tol=1e-4)
+
+
+def test_fm_pair_over_tables_wider_than_its_fields_gradcheck():
+    # a 4-wide table holds two 2-wide FM fields: field_row then asks the
+    # FM adjoint for columns that span two fields
+    rng = np.random.default_rng(12)
+    tables = [parameter(rng.normal(size=(9, 4)), "wide"), parameter(rng.normal(size=(30, 2)), "t")]
+    cat = np.stack([rng.integers(0, 9, 5), rng.integers(0, 30, 5)], axis=1)
+    num = rng.normal(size=(5, 1))
+    proj, mw = parameter(rng.normal(size=(1, 2)), "proj"), Tensor(rng.normal(size=(7, 1)))
+
+    def loss():
+        row = T.field_row(tables, cat, num)
+        pair = T.fm_pair(row, num, [proj], 2)
+        return T.add(T.reduce_sum(T.square(pair)), T.reduce_sum(T.square(T.matmul(row, mw))))
+
+    check_grads(loss, [*tables, proj], tol=1e-6)
+
+
+def test_fm_family_ops_refuse_bad_shapes():
+    rng = np.random.default_rng(0)
+    row, num = parameter(rng.normal(size=(4, 7))), rng.normal(size=(4, 1))
+    proj = parameter(rng.normal(size=(1, 3)))
+    for op in (T.fm_pair, T.cin_maps):
+        with pytest.raises(ValueError, match="not d = 4 wide"):
+            op(row, num, [parameter(rng.normal(size=(1, 4)))], 4)
+        with pytest.raises(ValueError, match="one column per projection"):
+            op(row, num, [], 3)
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            op(parameter(rng.normal(size=(4, 5))), num, [proj], 2)
+        with pytest.raises(ValueError, match="no fields"):
+            op(parameter(rng.normal(size=(4, 0))), np.zeros((4, 0)), [], 3)
+    table, bias = parameter(np.zeros((5, 1))), parameter(np.zeros((1, 1)))
+    cat = np.array([[0], [4], [1], [2]])
+    with pytest.raises(ValueError, match="need a weight"):
+        T.linear_sum([table], cat, num, None, bias)
+    with pytest.raises(ValueError, match=r"is not \(1, 1\)"):
+        T.linear_sum([table], cat, num, parameter(np.zeros((2, 1))), bias)
+    with pytest.raises(ValueError, match=r"\(v, 1\) tables"):
+        T.linear_sum([parameter(np.zeros((5, 2)))], cat, np.zeros((4, 0)), None, bias)
+    with pytest.raises(IndexError, match="field 0: index 5 at position 1"):
+        T.linear_sum([table], np.array([[0], [5]]), np.zeros((2, 0)), None, bias)
 
 
 def test_cin_layer_values_and_gradcheck():
