@@ -243,8 +243,10 @@ class RandomRatioSplit:
 
     def __post_init__(self):
         r = self.ratios
-        if len(r) != 3 or any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-            raise ValueError(f"split ratios must be three non-negatives summing to 1, got {r}")
+        if (len(r) != 3 or not all(math.isfinite(x) and x >= 0 for x in r)
+                or abs(sum(r) - 1.0) > 1e-9):
+            raise ValueError(f"split ratios must be three finite non-negatives summing to 1, "
+                             f"got {r}")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ CrossNet, and FM and CIN through ``tensor.fm_pair`` and
 ``tensor.cin_maps``, which take the row's d-wide field slices and the
 projected numerics. ``tensor.linear_sum`` is the LR/FM linear logit in one
 node. Each op gives the bits of the per-field chain it replaces: sums run
-slice by slice in field order, and ``fm_pair`` adds its two adjoint terms
-to the MLP's in the chain's order, so a row that feeds both sums its three
-terms as before. Whole-tensor FM and CIN ops that reduced over a
-(B, F, d) view summed in another order: they changed the trained bits and
-were slower at prediction.
+slice by slice in field order, and ``fm_pair`` and ``cin_maps`` hand the
+row one unbuilt adjoint that adds their terms to the MLP's in the chain's
+order, so a row that feeds both sums its terms as before. Whole-tensor FM
+and CIN ops that reduced over a (B, F, d) view summed in another order:
+they changed the trained bits and were slower at prediction.
 """
 from __future__ import annotations
 

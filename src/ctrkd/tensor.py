@@ -23,8 +23,9 @@ table-sized array. Everything else densifies it first: a second backward
 into the same leaf, two adjoints meeting at one node, a table an op
 produced. Reading ``.grad`` densifies too, so every reader sees the same
 dense ndarray, bit for bit, as the dense scatter would have given; smaller
-tables get that scatter directly. ``fm_pair`` leaves its adjoint of a row
-unbuilt in the same way, and ``field_row`` builds it one field at a time.
+tables get that scatter directly. ``fm_pair`` and ``cin_maps`` leave their
+adjoint of a row unbuilt in the same way, as a ``_RowAdjoint`` of their
+terms per field slice, and ``field_row`` builds it one field at a time.
 
 Inside a ``no_grad()`` block ops record nothing: they compute the same
 values, but their outputs have no parents and ``requires_grad`` False, so
@@ -76,14 +77,14 @@ class RowGrad(NamedTuple):
 
 
 def _dense(g, like: np.ndarray) -> np.ndarray:
-    return g.dense(like) if isinstance(g, (RowGrad, _FMRowAdjoint)) else g
+    return g.dense(like) if isinstance(g, (RowGrad, _RowAdjoint)) else g
 
 
 def _sum(acc, g, like: np.ndarray):
-    """Two adjoints of one tensor added: ``acc + g``, dense, or for an
-    ``_FMRowAdjoint`` g the same sum, still unbuilt."""
+    """Two adjoints of one tensor added: ``acc + g``, dense, or for a
+    ``_RowAdjoint`` g the same sum, still unbuilt."""
     acc = _dense(acc, like)
-    return g.after(acc) if isinstance(g, _FMRowAdjoint) else acc + _dense(g, like)
+    return g._replace(acc=acc) if isinstance(g, _RowAdjoint) else acc + _dense(g, like)
 
 
 class Tensor:
@@ -225,18 +226,18 @@ def no_grad():
 
 
 def _from_op(values, op: str, *inputs: tuple[Tensor, Adjoint],
-             takes_fm_rows: bool = False) -> Tensor:
+             takes_row_adjoint: bool = False) -> Tensor:
     """Output of ``op`` on ``inputs``, each an (input, adjoint) pair whose
     adjoint maps the output's adjoint to that input's. Records a graph only
     when grad mode is on and some input requires a gradient; backward then
     runs the adjoints of those inputs only, in input order. Each adjoint
     gets the output's adjoint as a dense array; an op built with
-    ``takes_fm_rows`` gets an ``_FMRowAdjoint`` as it is."""
+    ``takes_row_adjoint`` gets a ``_RowAdjoint`` as it is."""
     out = Tensor(values)
     live = [(t, adjoint) for t, adjoint in inputs if t.requires_grad] if _grad_enabled else ()
     if live:
         def grad_fn(g):
-            if not (takes_fm_rows and isinstance(g, _FMRowAdjoint)):
+            if not (takes_row_adjoint and isinstance(g, _RowAdjoint)):
                 g = _dense(g, values)
             return [(t, adjoint(g)) for t, adjoint in live]
 
@@ -572,11 +573,11 @@ def field_row(tables, cat, num) -> Tensor:
     out[:, stops[-1]:] = num
 
     def piece(scatter, start, stop):
-        return lambda g: scatter(g.columns(start, stop) if isinstance(g, _FMRowAdjoint)
+        return lambda g: scatter(g.columns(start, stop) if isinstance(g, _RowAdjoint)
                                  else g[:, start:stop])
 
     return _from_op(out, "field_row", *((t, piece(_scatter(idx, t.shape[0]), start, stop))
-                                        for t, idx, start, stop in fields), takes_fm_rows=True)
+                                        for t, idx, start, stop in fields), takes_row_adjoint=True)
 
 
 def linear_sum(tables, cat, num, w, b) -> Tensor:
@@ -635,49 +636,42 @@ def _field_vectors(row, num, projs, width: int, op: str):
     return row, projs, num, fields, vectors
 
 
-class _FMRowAdjoint:
-    """``fm_pair``'s adjoint of its (B, W) row, left unbuilt. In field slice
-    i it is a + b, with a = −g·vᵢ and b = g·S (field 0: a = g·S and
-    b = −g·v₀), and it is zero in the numeric columns. After ``acc``, an
-    adjoint the row gathered before it, the sum is (acc + a) + b: the order
-    in which the per-field chain added an MLP's term and its own two.
-    ``field_row`` asks for one field's columns at a time, so neither the
-    terms nor the sum is ever built as a row-sized array."""
+class _RowAdjoint(NamedTuple):
+    """An op's adjoint of the (B, W) row it reads as d-wide field slices,
+    left unbuilt. ``terms(i)`` gives field slice i's terms in the order the
+    per-field chain added them; the numeric columns are zero. After ``acc``,
+    an adjoint the row received before it, each slice is acc's slice plus
+    the terms, left to right. ``field_row`` asks for one field's columns at
+    a time, so the sum is never built as a row-sized array; ``dense``
+    builds it for any other reader."""
 
-    __slots__ = ("acc", "g_minus", "g_total", "row", "fields", "width")
-
-    def __init__(self, acc, g_minus, g_total, row: np.ndarray, fields: int, width: int):
-        self.acc, self.g_minus, self.g_total, self.row = acc, g_minus, g_total, row
-        self.fields, self.width = fields, width
-
-    def after(self, acc: np.ndarray) -> "_FMRowAdjoint":
-        return _FMRowAdjoint(acc, self.g_minus, self.g_total, self.row, self.fields, self.width)
+    terms: Callable[[int], tuple[np.ndarray, ...]]
+    shape: tuple[int, int]
+    width: int
+    fields: int
+    acc: np.ndarray | None = None
 
     def columns(self, start: int, stop: int) -> np.ndarray:
-        """Columns start:stop of the sum, as a fresh array."""
-        d, acc = self.width, self.acc
-        field, rest = divmod(start, d)
-        if field >= self.fields:  # the numeric columns, where the terms are zero
-            return np.zeros((self.row.shape[0], stop - start)) if acc is None else (
-                acc[:, start:stop] + 0.0)
-        if rest or stop != start + d:
-            return self.dense(self.row)[:, start:stop]
-        v = self.row[:, start:stop]
-        if field == 0:
-            out = self.g_total if acc is None else acc[:, :d] + self.g_total
-            return out + self.g_minus * v
-        out = self.g_minus * v
-        if acc is not None:
-            out += acc[:, start:stop]
-        out += self.g_total
+        """Columns start:stop of the sum, never written to: built alone when
+        they are one field slice, else cut from the whole row."""
+        field, rest = divmod(start, self.width)
+        if rest or stop != start + self.width or field >= self.fields:
+            return self.dense(None)[:, start:stop]
+        terms = self.terms(field)
+        if self.acc is not None:
+            terms = (self.acc[:, start:stop], *terms)
+        out = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        for term in terms[2:]:
+            out += term
         return out
 
-    def dense(self, like: np.ndarray) -> np.ndarray:
-        out = np.empty(self.row.shape)
+    def dense(self, like) -> np.ndarray:
+        out = np.zeros(self.shape)
         span = self.fields * self.width
         for start in range(0, span, self.width):
             out[:, start:start + self.width] = self.columns(start, start + self.width)
-        out[:, span:] = self.columns(span, out.shape[1])
+        if self.acc is not None:
+            out[:, span:] += self.acc[:, span:]
         return out
 
 
@@ -690,8 +684,9 @@ def fm_pair(row, num, projs, width: int) -> Tensor:
     One node for the chain of ``add``, ``square``, ``sub`` and ``mul`` nodes
     over per-field vectors, with its bits. Each sum is built slice by slice,
     in place and in field order. A vector's adjoint is g·S − g·v, with S the
-    sum; the row's is an ``_FMRowAdjoint``, which adds the two terms to the
-    row's other adjoint in the order the chain did.
+    sum; the row's is a ``_RowAdjoint`` whose terms in field slice i are
+    −g·vᵢ then g·S (field 0: g·S then −g·v₀), the order the chain added
+    them to the row's other adjoint.
     """
     row, projs, num, fields, vectors = _field_vectors(row, num, projs, width, "fm_pair")
     total = vectors[0].copy()
@@ -717,14 +712,20 @@ def fm_pair(row, num, projs, width: int) -> Tensor:
             return num[:, j:j + 1].T @ (g_minus * vectors[fields + j] + g_total)
         return adjoint
 
+    def row_adjoint(g):
+        g_minus, g_total = take_terms(g)
+        return _RowAdjoint(lambda i: (g_total, g_minus * vectors[0]) if i == 0
+                           else (g_minus * vectors[i], g_total), row.shape, width, fields)
+
     return _from_op(pair, "fm_pair", *((p, proj_adjoint(j)) for j, p in enumerate(projs)),
-                    (row, lambda g: _FMRowAdjoint(None, *take_terms(g), row.values, fields, width)))
+                    (row, row_adjoint))
 
 
 def cin_maps(row, num, projs, width: int) -> Tensor:
     """xDeepFM's base feature maps X^0 as one (B·d, m) matrix: column k is
     field vector k (as in ``fm_pair``) flattened over (B, d). One node for
-    the per-field ``reshape`` nodes and their ``concat``, with their bits."""
+    the per-field ``reshape`` nodes and their ``concat``, with their bits.
+    The row's adjoint is a ``_RowAdjoint``: in field slice i, g's column i."""
     row, projs, num, fields, vectors = _field_vectors(row, num, projs, width, "cin_maps")
     n, m, span = row.shape[0], len(vectors), fields * width
     out = np.empty((n * width, m))
@@ -734,11 +735,8 @@ def cin_maps(row, num, projs, width: int) -> Tensor:
         maps[:, :, fields + j] = vectors[fields + j]
 
     def row_adjoint(g):
-        out = np.empty(row.shape)
-        out[:, :span].reshape(n, fields, width)[...] = (
-            g.reshape(n, width, m)[:, :, :fields].transpose(0, 2, 1))
-        out[:, span:] = 0.0
-        return out
+        g = g.reshape(n, width, m)
+        return _RowAdjoint(lambda i: (g[:, :, i],), row.shape, width, fields)
 
     def proj_adjoint(j: int):
         k = fields + j

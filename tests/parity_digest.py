@@ -19,6 +19,11 @@ Their tables have eight times as many rows as a batch, so ``rows`` gives a
 row-sparse gradient and most rows go untouched for many steps; one run adds
 L2 on the embeddings, which densifies that gradient.
 
+The first line, starting with ``#``, names OpenBLAS's active core (its
+kernel, such as ``SkylakeX``) and thread count, read from the library numpy
+bundles, or ``unknown`` without one: hashes taken on another kernel may
+differ in the last bits for that reason alone.
+
 Nothing depends on ``PYTHONHASHSEED``: runs, parameters, records and files are
 hashed in list order. pytest does not collect this file;
 ``tests/test_parity.py`` runs it and compares every hash with a pinned value.
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import glob
 import hashlib
 import io
 import itertools
@@ -240,7 +247,23 @@ def all_runs():
     return itertools.chain(runs(), pipeline_runs(), bigvocab_runs())
 
 
+def blas_kernel() -> str:
+    """``core=<name> threads=<n>`` of the OpenBLAS numpy bundles, or
+    ``core=unknown threads=unknown`` when it bundles none."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*"))):
+        lib = ctypes.CDLL(path)
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if corename is not None and threads is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            return f"core={corename().decode()} threads={threads()}"
+    return "core=unknown threads=unknown"
+
+
 def main() -> int:
+    print(f"# OpenBLAS {blas_kernel()}", flush=True)
     combined = hashlib.sha256()
     for name, digest in all_runs():
         print(f"{digest}  {name}", flush=True)

@@ -89,10 +89,14 @@ def test_split_strategies():
 
 @pytest.mark.parametrize("split", ["data.split_ratios = 0.5,0.5,0.5",
                                    "data.split_ratios = 0.5,0.5",
+                                   "data.split_ratios = nan,0.5,0.5",
+                                   "data.split_ratios = 0.5,0.5,nan",
+                                   "data.split_ratios = inf,0.5,-inf",
                                    "data.split = sequential\ndata.train_days = 0\n"
                                    "data.day_column = 1",
                                    "data.split = sequential"],
-                         ids=["ratio-sum", "two-ratios", "no-train-day", "no-day-column"])
+                         ids=["ratio-sum", "two-ratios", "nan-ratio", "nan-sum", "inf-ratios",
+                              "no-train-day", "no-day-column"])
 def test_bad_split_settings_fail_at_parse_time(tmp_path, split):
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + split + "\n")
@@ -267,6 +271,8 @@ PARSE_TIME_REFUSALS = {
     "tau-nan": ("distill.tau = nan", [], "tau must be finite"),
     "tau-inf": ("distill.tau = inf", [], "tau must be finite"),
     "split-ratios": ("data.split_ratios = 0.5,0.5,0.5", [], "split ratios"),
+    "overlapping-columns": ("", ["--set", "data.numeric_columns=1-3"],
+                            "field positions must be unique"),
     "sequential-no-day": ("data.split = sequential", [], "needs data.day_column"),
     "model-shape": ("student.dropout = 1.5", [], "bad student model"),
     "unknown-preset": ("ensemble.mode = M\nensemble.teachers = fm,tabnet", [],

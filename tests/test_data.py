@@ -197,6 +197,8 @@ def test_random_split_deterministic_and_invalid_ratios():
     assert a == b
     with pytest.raises(ValueError):
         D.split_rows(rows, D.RandomRatioSplit((0.5, 0.2, 0.2), seed=1))
+    with pytest.raises(TypeError, match="unknown split strategy"):
+        D.split_rows(rows, (0.6, 0.2, 0.2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,6 +267,8 @@ def test_batches_reject_empty_and_bad_size():
         list(D.batches(ds.subset([]), 2, 0))
     with pytest.raises(ValueError):
         list(D.batches(ds, 0, 0))
+    with pytest.raises(ValueError, match="row counts disagree"):
+        D.EncodedDataset(ds.cat, ds.num[:3], ds._labels)
 
 
 def test_label_read_counter():

@@ -28,6 +28,10 @@ def test_config_validation():
         DistillConfig(method="hint", beta=1e-4, gamma=1.0, gating=True)
     with pytest.raises(ValueError):
         DistillConfig(method="osmosis")
+    with pytest.raises(ValueError, match="lie in \\[0, 1\\]"):
+        DistillConfig(method="soft_label", beta=1.5, gamma=-0.5)
+    with pytest.raises(ValueError, match="at least one teacher"):
+        TeacherGate(0)
 
 
 def test_bce_known_values():
@@ -272,6 +276,10 @@ def test_ensemble_matches_dot_product_oracle():
     np.testing.assert_allclose(out.values, expected, atol=1e-12)
     with pytest.raises(ValueError):
         ensemble_teacher_logit(z, alphas[:-1])
+    with pytest.raises(ValueError, match="at least one teacher"):
+        ensemble_teacher_logit([], [])
+    with pytest.raises(ValueError, match="3 logit columns for 4 teachers"):
+        gate_weights(z[:3], TeacherGate(4))
 
 
 def test_ensemble_averaging_fallback_equals_mean():

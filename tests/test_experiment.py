@@ -432,8 +432,21 @@ def test_cli_run_and_overrides(tmp_path, capsys):
     assert {r["seed"] for r in meta} == {4}
 
 
+def test_evaluate_after_train_teacher_scores_the_teachers_only(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    for verb in ("preprocess", "train-teacher", "evaluate"):
+        assert cli.main([verb, "-c", str(cfg_path)]) == 0, verb
+    assert not (tmp_path / "out" / "students_meta.csv").exists()
+    runs = experiment._read_records(str(tmp_path / "out" / "runs.csv"))
+    assert [(r["model"], r["seed"]) for r in runs] == [("teacher/fm", 100)]
+    assert capsys.readouterr().out.splitlines()[-1].startswith("teacher/fm seed 100: auc=")
+
+
 def test_cli_error_paths(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
+    assert cli.main(["run", "-c", str(tmp_path / "missing.cfg")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     assert cli.main(["distill", "-c", str(cfg_path)]) == 1  # no teachers yet
     assert cli.main(["run", "-c", str(cfg_path), "--set", "data.format=parquet"]) == 2
     assert cli.main(["make-ensemble", "-c", str(cfg_path)]) == 2  # no ensemble.mode

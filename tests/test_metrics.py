@@ -37,6 +37,12 @@ def test_single_class_is_undefined():
         auc([0.1, 0.2], [0, 0])
 
 
+def test_scores_and_labels_of_different_lengths_are_refused():
+    for metric in (auc, logloss):
+        with pytest.raises(ValueError, match="same length"):
+            metric([0.1, 0.2, 0.7], [0, 1])
+
+
 def test_matches_pairwise_oracle_with_ties():
     rng = np.random.default_rng(2024)
     for trial in range(30):

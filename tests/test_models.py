@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ctrkd import tensor as T
+from ctrkd.data import EncodedDataset
 from ctrkd.models import PRESETS, WIDE_KINDS, FieldDims, Model, ModelSpec, spec_from_preset
 from ctrkd.tensor import sigmoid_values
+from ctrkd.train import TrainHyper, train_teacher
 
 from gradcheck import check_grads
 
@@ -28,12 +30,29 @@ def test_spec_validation():
         ModelSpec(wide="cin", cin_maps=())
     with pytest.raises(ValueError):
         ModelSpec(deep=(8,), dropout=1.0)
+    with pytest.raises(ValueError, match="cross_layers"):
+        ModelSpec(wide="cross", cross_layers=0)
+    with pytest.raises(ValueError, match="vocabulary sizes"):
+        FieldDims((5, 0), 1)
+    with pytest.raises(ValueError, match="n_numeric"):
+        FieldDims((5,), -1)
 
 
 def test_model_without_input_fields_is_refused():
     for preset in PRESETS:
         with pytest.raises(ValueError, match="at least one input field"):
             Model(spec_from_preset(preset), FieldDims((), 0))
+
+
+def test_forward_refuses_a_batch_of_the_wrong_shape():
+    model = Model(ModelSpec.deepfm((4,), embedding_dim=2), DIMS, seed=0)
+    cat, num = toy_batch()
+    with pytest.raises(ValueError, match=r"cat of shape \(B, 3\)"):
+        model.forward(cat[:, :2], num)
+    with pytest.raises(ValueError, match=r"num of shape \(B, 2\)"):
+        model.forward(cat, num[:, 0])
+    with pytest.raises(ValueError, match="batch sizes differ"):
+        model.forward(cat, num[:2])
 
 
 def test_spec_kv_roundtrip():
@@ -359,6 +378,34 @@ def test_fm_family_gathers_once_and_fuses_its_chains():
         assert len(record) == nodes, spec
         ops = [t._op for t in record]
         assert ops.count("field_row") == 1 and "rows" not in ops, spec
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.deepfm((8,), 3), ModelSpec.xdeepfm((2,), (8,), 3),
+                                  ModelSpec.fm(3)], ids=["deepfm", "xdeepfm", "fm"])
+def test_field_row_takes_the_fm_and_cin_row_adjoint_one_field_at_a_time(monkeypatch, spec):
+    # fm_pair and cin_maps hand the row their adjoint unbuilt; in a training
+    # step field_row asks it for each table's columns and never builds it whole
+    asked = []
+    columns = T._RowAdjoint.columns
+
+    def record(self, start, stop):
+        asked.append((start, stop))
+        return columns(self, start, stop)
+
+    def refuse(self, like):
+        raise AssertionError("the row adjoint was built whole")
+
+    monkeypatch.setattr(T._RowAdjoint, "columns", record)
+    monkeypatch.setattr(T._RowAdjoint, "dense", refuse)
+    cat, num = toy_batch(batch=6, seed=4)
+    model = Model(spec, DIMS, seed=3)
+    before = model.state()
+    train_teacher(model, EncodedDataset(cat, num, np.array([0, 1, 1, 0, 1, 0])),
+                  TrainHyper(lr=0.01, batch_size=6, max_epochs=1, patience=None), seed=1)
+    d = spec.embedding_dim
+    assert asked == [(i * d, (i + 1) * d) for i in range(len(DIMS.vocab_sizes))]
+    assert all(not np.array_equal(before[f"embed.{i}"], t.values)
+               for i, t in enumerate(model.embeddings))
 
 
 def test_a_row_gets_its_chunk_logit_in_any_batch_of_a_multiple_of_four_rows():

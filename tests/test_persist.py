@@ -257,6 +257,15 @@ def test_names_that_meta_cannot_list_are_refused_at_save(tmp_path, name):
         persist.save(tmp_path / "model.ckpt", tiny_lr(), extras={name: np.zeros(1)})
 
 
+@pytest.mark.parametrize("extras, error", [({"lr.bias": np.zeros((1, 1))}, "collide"),
+                                           ({"extra": np.zeros(2, np.float32)}, "float32")],
+                         ids=["collides-with-a-parameter", "float32"])
+def test_extras_a_checkpoint_cannot_hold_are_refused_at_save(tmp_path, extras, error):
+    with pytest.raises(persist.CheckpointError, match=error):
+        persist.save(tmp_path / "model.ckpt", tiny_lr(), extras=extras)
+    assert not os.listdir(tmp_path)
+
+
 def test_every_flipped_or_cut_byte_is_refused_or_loads_the_same_content(tmp_path):
     # an LR on one field and one extra tensor: a 1.8 KB file
     path = tmp_path / "model.ckpt"

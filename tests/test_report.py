@@ -50,6 +50,8 @@ def test_single_seed_std_is_zero():
 def test_unknown_baseline_rejected():
     with pytest.raises(ValueError):
         ExperimentReport(rows_for("m", [0.7]), baseline="ghost")
+    with pytest.raises(ValueError, match="at least one row"):
+        ExperimentReport([], baseline="m")
 
 
 def test_csv_and_table_shapes(tmp_path):

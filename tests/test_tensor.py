@@ -97,6 +97,8 @@ def test_dropout_rejects_bad_rate():
     t = Tensor(np.ones(2))
     with pytest.raises(ValueError):
         T.dropout(t, 1.0, training=True, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="explicit rng"):
+        T.dropout(t, 0.5, training=True)
 
 
 def test_dropout_preserves_mean():
@@ -131,6 +133,15 @@ def test_backward_requires_scalar():
     w = parameter([1.0, 2.0], "w")
     with pytest.raises(ValueError):
         T.square(w).backward()
+    with pytest.raises(ValueError, match="single-element"):
+        w.item()
+
+
+def test_a_tensor_is_built_from_raw_values_only():
+    t = Tensor([1.0])
+    with pytest.raises(TypeError, match="got a Tensor"):
+        Tensor(t)
+    assert T.as_tensor(t) is t
 
 
 def test_backward_accumulates_exactly_twice():
@@ -314,6 +325,10 @@ def test_structural_ops_gradcheck():
     rng_x = rng.normal(size=(2, 4))
     for axis in (1, 0, -1):
         check_grads(lambda: loss(axis), [w, b], tol=1e-6)
+    with pytest.raises(ValueError, match="zero tensors"):
+        T.concat([])
+    with pytest.raises(ValueError, match="2-d tensor"):
+        T.transpose(w.values[0])
 
 
 def _bytes(arrays):
@@ -352,6 +367,8 @@ def test_linear_is_bitwise_the_matmul_broadcast_add_chain(n, width, out):
     assert _bytes(pg for _, pg in pairs) == _bytes([g_x, g_w, g_b])
     with pytest.raises(ValueError):
         T.linear(xt, wt, parameter(np.zeros((out,))))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        T.linear(xt, parameter(np.zeros((width + 1, out))), bt)
 
 
 # (2000, 221): DCN's width on the benchmark's Criteo shape
@@ -370,6 +387,8 @@ def test_cross_layer_is_bitwise_the_unfused_chain(n, width):
     assert _bytes(pg for _, pg in pairs) == _bytes(adjoints)
     with pytest.raises(ValueError):
         T.cross_layer(x0t, xt, parameter(np.zeros((width + 1, 1))), bt)
+    with pytest.raises(ValueError, match="equal 2-d rows"):
+        T.cross_layer(x0t, parameter(np.zeros((n, width + 1))), wt, bt)
 
 
 @pytest.mark.parametrize("n,width", [(6, 5), (1, 5), (6, 1)], ids=lambda v: str(v))
@@ -538,6 +557,11 @@ def test_field_row_names_the_field_and_the_bad_index_before_gathering(monkeypatc
         T.field_row(tables, np.zeros((3, 1), dtype=int), num)
     with pytest.raises(ValueError, match="1-d integer"):
         T.field_row(tables, np.zeros((3, 2)), num)
+    cat = np.zeros((3, 2), dtype=int)
+    with pytest.raises(ValueError, match="does not have 3 rows"):
+        T.field_row(tables, cat, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="2-d table"):
+        T.field_row([tables[0], parameter(np.ones((3, 2, 1)))], cat, num)
 
 
 def _field_tables(rng, vocab_sizes, d):
@@ -834,6 +858,8 @@ def test_fm_family_ops_refuse_bad_shapes():
         T.linear_sum([table], cat, num, parameter(np.zeros((2, 1))), bias)
     with pytest.raises(ValueError, match=r"\(v, 1\) tables"):
         T.linear_sum([parameter(np.zeros((5, 2)))], cat, np.zeros((4, 0)), None, bias)
+    with pytest.raises(ValueError, match="no inputs"):
+        T.linear_sum([], np.zeros((4, 0), dtype=int), np.zeros((4, 0)), None, bias)
     with pytest.raises(IndexError, match="field 0: index 5 at position 1"):
         T.linear_sum([table], np.array([[0], [5]]), np.zeros((2, 0)), None, bias)
 

@@ -213,10 +213,12 @@ def test_zero_epoch_budget_returns_untouched_model():
     ds, dims = small_synth(200)
     model = Model(ModelSpec.lr(), dims, seed=3)
     before = model.state()
-    record = train_teacher(model, ds, TrainHyper(max_epochs=0), seed=0)
-    assert len(record) == 0
-    for name, arr in model.state().items():
-        np.testing.assert_array_equal(arr, before[name])
+    # with validation data the early-stop monitor restores a snapshot it never took
+    for val_data in (None, ds):
+        record = train_teacher(model, ds, TrainHyper(max_epochs=0), seed=0, val_data=val_data)
+        assert len(record) == 0 and record.best_epoch == 0
+        for name, arr in model.state().items():
+            np.testing.assert_array_equal(arr, before[name])
 
 
 def test_teacher_training_deterministic():
@@ -353,6 +355,10 @@ def test_pretrain_rejects_schema_mismatch_and_empty_teachers():
         train_student_pretrain(student, [other], DistillConfig(), ds, TrainHyper(), 0)
     with pytest.raises(ValueError):
         train_student_pretrain(student, [], DistillConfig(), ds, TrainHyper(), 0)
+    teacher = Model(ModelSpec.lr(), dims, seed=0)
+    with pytest.raises(ValueError, match="unknown stop mode"):
+        train_student_pretrain(student, [teacher], DistillConfig(), ds, TrainHyper(), 0,
+                               stop_mode="val_loss")
 
 
 def test_pretrain_kd_mode_reads_no_validation_labels():
