@@ -15,12 +15,17 @@ def auc(scores, labels) -> float:
     """Area under the ROC curve via average ranks.
 
     Equals the probability that a random positive outranks a random
-    negative, with tied scores counted as half a correct ordering.
+    negative, with tied scores counted as half a correct ordering. Labels
+    must be 0 or 1 and scores finite: a NaN would rank above every number.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have the same length")
+    if not np.all(np.isfinite(scores)):
+        raise MetricError("AUC is undefined for non-finite scores")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise MetricError("AUC needs labels in {0, 1}")
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -10,6 +10,8 @@ run consumes exactly the rng draws a standalone teacher run would.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -40,6 +42,9 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam
 
 # rows per inference batch when scoring a whole split
 PREDICT_BATCH = 8192
+
+# parameter elements from which Adam updates on two threads (see Adam)
+SPLIT_SIZE = 1 << 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -89,47 +94,106 @@ class Adam:
     A row-sparse gradient (``Tensor.row_grad``) updates the moments of its
     touched rows only; the decay and the parameter update still cover the
     whole table, as dense Adam moves untouched rows too.
+
+    A parameter set of at least ``SPLIT_SIZE`` elements, on a host that lets
+    the process run on two CPUs, is updated on two threads: its parameters
+    are dealt whole, largest first, into two groups of near-equal element
+    count, and ``step`` runs one group on a thread of its own while the
+    calling thread runs the other. Each parameter's update is the same
+    sequence of numpy operations on the same arrays whichever thread runs
+    it, so the result is bitwise the serial one.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
+        if len({id(p) for p in self.params}) < len(self.params):
+            # two moment pairs would update it, on two threads after a split
+            raise ValueError("a parameter is listed more than once")
         self.lr = lr
         self.t = 0
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
-        # two update buffers sized to the largest parameter, shared by all
-        size = max((p.size for p in self.params), default=0)
-        a, b = np.empty(size), np.empty(size)
-        self._scratch = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
-                         for p in self.params]
+        # (index, a, b) per parameter: a group's update buffers a and b are
+        # sized to its largest parameter and shared by all its parameters
+        self._groups = []
+        for group in _deal([p.size for p in self.params]):
+            members = [(i, self.params[i]) for i in group]
+            size = max((p.size for _, p in members), default=0)
+            a, b = np.empty(size), np.empty(size)
+            self._groups.append([(i, a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
+                                 for i, p in members])
 
     def step(self) -> None:
         """Apply one bias-corrected update, then clear the gradients."""
+        grads = []
         for p in self.params:
-            if p.row_grad is None and p.grad is None:
+            g = p.row_grad if p.row_grad is not None else p.grad
+            if g is None:
                 raise ValueError(f"parameter {p.name or p} has no gradient")
+            grads.append(g)
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._scratch):
+        # the first group runs here, any other on a thread of its own
+        first, *rest = self._groups
+        failed: list[Exception] = []
+
+        def work(group):
+            try:
+                self._update(group, grads, c1, c2)
+            except Exception as exc:  # raised again below, in the calling thread
+                failed.append(exc)
+
+        workers = [threading.Thread(target=work, args=(group,), name="ctrkd-adam")
+                   for group in rest]
+        for worker in workers:
+            worker.start()
+        try:
+            self._update(first, grads, c1, c2)
+        finally:
+            for worker in workers:
+                worker.join()
+        if failed:
+            raise failed[0]
+        for p in self.params:
+            p.grad = None
+
+    def _update(self, group, grads: list, c1: float, c2: float) -> None:
+        # numpy only: no Tensor property and nothing a tracer wraps, so any
+        # thread may run it
+        for i, a, b in group:
+            m, v, g = self.m[i], self.v[i], grads[i]
             m *= BETA1
             v *= BETA2
-            sparse = p.row_grad
-            if sparse is None:
-                g = p.grad
-                m += np.multiply(1.0 - BETA1, g, out=a)
-                v += np.multiply(1.0 - BETA2, np.square(g, out=b), out=b)
-            else:
+            if isinstance(g, T.RowGrad):
                 # the dense path adds +0.0 to untouched rows' moments and this
                 # one adds nothing: values, and so updates, are equal
-                touched, g = sparse
+                touched, g = g
                 m[touched] += (1.0 - BETA1) * g
                 v[touched] += (1.0 - BETA2) * np.square(g)
+            else:
+                m += np.multiply(1.0 - BETA1, g, out=a)
+                v += np.multiply(1.0 - BETA2, np.square(g, out=b), out=b)
             # p -= lr * (m / c1) / (sqrt(v / c2) + EPS), op for op
             np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
             np.add(np.sqrt(np.divide(v, c2, out=b), out=b), EPS, out=b)
-            p.values -= np.divide(a, b, out=a)
-            p.grad = None
+            self.params[i].values -= np.divide(a, b, out=a)
+
+
+def _deal(sizes: list[int]) -> list[list[int]]:
+    """Parameter indices in one group, or in two of near-equal element count
+    when the set is large enough and two CPUs are allowed: whole parameters,
+    largest first, each to the group with fewer elements so far."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(sizes) < 2 or sum(sizes) < SPLIT_SIZE or cpus < 2:
+        return [list(range(len(sizes)))]
+    groups: tuple[list[int], list[int]] = ([], [])
+    totals = [0, 0]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        k = 0 if totals[0] <= totals[1] else 1
+        groups[k].append(i)
+        totals[k] += sizes[i]
+    return [sorted(group) for group in groups]
 
 
 def _apply_l2(embedding_params: list[Tensor], lam: float) -> None:

@@ -70,3 +70,18 @@ def test_logloss_mixed_batch_matches_manual_mean():
     y = np.array([0.0, 1.0, 1.0])
     manual = -(np.log(1 - p[0]) + np.log(p[1]) + np.log(p[2])) / 3.0
     assert logloss(p, y) == pytest.approx(manual, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_scores_are_refused(bad):
+    # a NaN sorts above every number, so it would rank as the best score
+    with pytest.raises(MetricError, match="non-finite"):
+        auc([0.1, bad, bad, 0.2], [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1, 0], [0, -1, 1, 0], [0, 0.5, 1, 0],
+                                    [0, float("nan"), 1, 0]])
+def test_labels_other_than_zero_and_one_are_refused(labels):
+    # any label other than 1 used to count as a negative
+    with pytest.raises(MetricError, match="labels in"):
+        auc([0.1, 0.4, 0.3, 0.2], labels)

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from ctrkd.metrics import auc
 from ctrkd.models import FieldDims, Model, ModelSpec
 from ctrkd.synth import synthetic_dataset
 from ctrkd.tensor import parameter
-from ctrkd.train import (KD_LOSS_MIN, VAL_AUC_MAX, Adam, EarlyStopMonitor,
+from ctrkd.train import (KD_LOSS_MIN, SPLIT_SIZE, VAL_AUC_MAX, Adam, EarlyStopMonitor,
                          TrainHyper, TrainingDiverged, TrainRecord, EpochStats,
                          evaluate_model, predict_dataset, train_student_cotrain,
                          train_student_pretrain, train_teacher)
@@ -38,6 +41,12 @@ def test_adam_missing_grad_raises():
     w = parameter(np.zeros(2), "w")
     with pytest.raises(ValueError):
         Adam([w]).step()
+
+
+def test_adam_refuses_a_parameter_listed_twice():
+    w = parameter(np.zeros(2), "w")
+    with pytest.raises(ValueError, match="more than once"):
+        Adam([w, parameter(np.zeros(2), "u"), w])
 
 
 def test_adam_clears_grads_after_step():
@@ -126,6 +135,75 @@ def test_setting_grad_clears_the_row_sparse_form():
     Adam([table], lr=0.01).step()
     np.testing.assert_allclose(table.values, -0.01, rtol=1e-6)  # every row moved
     assert table.grad is None and table.row_grad is None
+
+
+def _two_cpus(monkeypatch):
+    # the split needs two allowed CPUs; threads run correctly on one as well
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _split_size_params(seed: int) -> list:
+    """Three tables, a weight and a bias: more than SPLIT_SIZE elements in
+    all, each one below it."""
+    rng = np.random.default_rng(seed)
+    shapes = [(60_000, 8), (50_000, 8), (30_000, 8), (13, 32), (32,)]
+    params = [parameter(rng.normal(size=s), f"p{k}") for k, s in enumerate(shapes)]
+    assert sum(p.size for p in params) >= SPLIT_SIZE > max(p.size for p in params)
+    return params
+
+
+def _split_size_loss(params, idx, weights) -> T.Tensor:
+    # tables 0 and 1 get row-sparse gradients; table 2 is gathered twice, so
+    # its gradient is dense, as are the weight's and the bias'
+    t0, t1, t2, w, b = params
+    gathered = [T.rows(t0, idx[0]), T.rows(t1, idx[1]), T.rows(t2, idx[2]),
+                T.rows(t2, idx[3])]
+    terms = [T.reduce_sum(T.mul(g, T.Tensor(x))) for g, x in zip(gathered, weights)]
+    terms += [T.reduce_sum(T.square(w)), T.reduce_sum(T.mul(b, b))]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+    return loss
+
+
+def test_split_step_is_bitwise_the_serial_step(monkeypatch):
+    _two_cpus(monkeypatch)
+    split = _split_size_params(24)
+    serial = _split_size_params(24)
+    split_opt = Adam(split, lr=0.01)
+    serial_opts = [Adam([p], lr=0.01) for p in serial]
+    assert len(split_opt._groups) == 2
+    assert all(len(opt._groups) == 1 for opt in serial_opts)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        idx = [rng.integers(0, 20_000, size=500) for _ in range(4)]
+        weights = [rng.normal(size=(500, 8)) for _ in range(4)]
+        for params in (split, serial):
+            _split_size_loss(params, idx, weights).backward()
+        assert split[0].row_grad is not None and split[2].row_grad is None
+        split_opt.step()
+        for opt in serial_opts:
+            opt.step()
+        for k, opt in enumerate(serial_opts):
+            assert split[k].values.tobytes() == serial[k].values.tobytes()
+            assert split_opt.m[k].tobytes() == opt.m[0].tobytes()
+            assert split_opt.v[k].tobytes() == opt.v[0].tobytes()
+        assert all(p.grad is None and p.row_grad is None for p in split)
+
+
+@pytest.mark.parametrize("group", [0, 1], ids=["caller", "worker"])
+def test_a_failure_in_either_share_of_a_split_step_surfaces(monkeypatch, group):
+    _two_cpus(monkeypatch)
+    params = _split_size_params(3)
+    opt = Adam(params, lr=0.01)
+    bad = opt._groups[group][0][0]
+    for p in params:
+        p.grad = np.ones(p.shape)
+    params[bad].grad = np.ones(7)  # broadcasts against no parameter here
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="broadcast"):
+        opt.step()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("field,value", [
