@@ -279,15 +279,12 @@ def _split_random(rows, strategy: RandomRatioSplit):
 
 
 def _split_sequential(rows, strategy: SequentialSplit):
-    days_in_order: list[str] = []
     day_of_row = []
     for i, row in enumerate(rows):
         if strategy.day_column >= len(row):
             raise ValueError(f"row {i} has no day column {strategy.day_column}")
-        day = row[strategy.day_column]
-        if day not in days_in_order:
-            days_in_order.append(day)
-        day_of_row.append(day)
+        day_of_row.append(row[strategy.day_column])
+    days_in_order = list(dict.fromkeys(day_of_row))  # first-appearance order
     if len(days_in_order) <= strategy.train_days:
         raise ValueError(f"found {len(days_in_order)} days, need more than "
                          f"train_days={strategy.train_days} to form a tail")

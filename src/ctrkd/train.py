@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -97,8 +96,8 @@ class Adam:
 
     A parameter set of at least ``SPLIT_SIZE`` elements, on a host that lets
     the process run on two CPUs, is updated on two threads: its parameters
-    are dealt whole, largest first, into two groups of near-equal element
-    count, and ``step`` runs one group on a thread of its own while the
+    are dealt whole, largest first, to two groups in turn, and ``step`` runs
+    one group on a ``ThreadPoolExecutor`` opened for that step while the
     calling thread runs the other. Each parameter's update is the same
     sequence of numpy operations on the same arrays whichever thread runs
     it, so the result is bitwise the serial one.
@@ -134,27 +133,18 @@ class Adam:
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        # the first group runs here, any other on a thread of its own
+        # the first group runs here, any other on a worker of its own
         first, *rest = self._groups
-        failed: list[Exception] = []
-
-        def work(group):
-            try:
-                self._update(group, grads, c1, c2)
-            except Exception as exc:  # raised again below, in the calling thread
-                failed.append(exc)
-
-        workers = [threading.Thread(target=work, args=(group,), name="ctrkd-adam")
-                   for group in rest]
-        for worker in workers:
-            worker.start()
-        try:
+        if rest:
+            from concurrent.futures import ThreadPoolExecutor
+            # leaving the block joins the workers; result() re-raises a failure
+            with ThreadPoolExecutor(len(rest), thread_name_prefix="ctrkd-adam") as pool:
+                shares = [pool.submit(self._update, group, grads, c1, c2) for group in rest]
+                self._update(first, grads, c1, c2)
+                for share in shares:
+                    share.result()
+        else:
             self._update(first, grads, c1, c2)
-        finally:
-            for worker in workers:
-                worker.join()
-        if failed:
-            raise failed[0]
         for p in self.params:
             p.grad = None
 
@@ -183,17 +173,12 @@ class Adam:
 def _deal(sizes: list[int]) -> list[list[int]]:
     """Parameter indices in one group, or in two of near-equal element count
     when the set is large enough and two CPUs are allowed: whole parameters,
-    largest first, each to the group with fewer elements so far."""
+    largest first, dealt to the two groups in turn."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if len(sizes) < 2 or sum(sizes) < SPLIT_SIZE or cpus < 2:
         return [list(range(len(sizes)))]
-    groups: tuple[list[int], list[int]] = ([], [])
-    totals = [0, 0]
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        k = 0 if totals[0] <= totals[1] else 1
-        groups[k].append(i)
-        totals[k] += sizes[i]
-    return [sorted(group) for group in groups]
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    return [sorted(order[0::2]), sorted(order[1::2])]
 
 
 def _apply_l2(embedding_params: list[Tensor], lam: float) -> None:
@@ -236,11 +221,15 @@ class TrainRecord:
 
 class EarlyStopMonitor:
     """Stop after `patience` consecutive epochs without strict improvement;
-    the best-epoch parameter snapshot is restored on stop."""
+    the best-epoch parameter snapshot is restored on stop. A NaN or infinite
+    monitored value raises ``TrainingDiverged``: no later value compares
+    against a NaN, so it would stay the best."""
 
     def __init__(self, mode: str, patience: int = 3):
         if mode not in (VAL_AUC_MAX, KD_LOSS_MIN):
             raise ValueError(f"unknown early-stop mode {mode!r}")
+        if patience < 1:
+            raise ValueError(f"patience must be at least 1, got {patience!r}")
         self.mode = mode
         self.patience = patience
         self.best_value: float | None = None
@@ -257,6 +246,10 @@ class EarlyStopMonitor:
 
     def update(self, value: float, params: list[Tensor], epoch: int) -> bool:
         """Record one epoch's monitored value; True means stop now."""
+        if not np.isfinite(value):
+            raise TrainingDiverged(
+                f"the {self.mode} monitor read {value} at epoch {epoch}; "
+                "lower the learning rate or check the input scaling")
         if self._improved(value):
             self.best_value = value
             self.best_epoch = epoch

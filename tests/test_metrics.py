@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctrkd.metrics import MetricError, auc, logloss
+from ctrkd.metrics import PROB_EPS, MetricError, auc, logloss
 
 
 def pairwise_auc(scores, labels):
@@ -63,6 +63,7 @@ def test_all_tied_scores_give_half():
 def test_logloss_constants():
     assert logloss([0.5, 0.5], [0, 1]) == pytest.approx(np.log(2.0), abs=1e-12)
     assert logloss([1.0, 0.0], [1, 0]) == pytest.approx(0.0, abs=1e-5)
+    assert logloss([1.0, 0.0], [0, 1]) == pytest.approx(-np.log(PROB_EPS), rel=1e-6)
 
 
 def test_logloss_mixed_batch_matches_manual_mean():
@@ -85,3 +86,24 @@ def test_labels_other_than_zero_and_one_are_refused(labels):
     # any label other than 1 used to count as a negative
     with pytest.raises(MetricError, match="labels in"):
         auc([0.1, 0.4, 0.3, 0.2], labels)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_logloss_refuses_non_finite_scores(bad):
+    # a NaN used to make the mean NaN; an infinity was clipped to a probability
+    with pytest.raises(MetricError, match="non-finite"):
+        logloss([0.5, bad], [1, 0])
+
+
+@pytest.mark.parametrize("labels", [[2, 0], [-1, 0], [0.5, 0], [float("nan"), 0]])
+def test_logloss_refuses_labels_other_than_zero_and_one(labels):
+    # a label of 2 used to score 0.458 against these scores
+    with pytest.raises(MetricError, match="labels in"):
+        logloss([0.5, 0.2], labels)
+
+
+@pytest.mark.parametrize("score", [1.5, -0.1, 1.0 + 1e-12])
+def test_logloss_refuses_scores_that_are_not_probabilities(score):
+    # a score of 1.5 used to be clipped to 1 - PROB_EPS without a word
+    with pytest.raises(MetricError, match=r"scores in \[0, 1\]"):
+        logloss([score, 0.2], [1, 0])

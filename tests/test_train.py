@@ -7,6 +7,7 @@ import pytest
 from ctrkd import distill as KD
 from ctrkd import experiment
 from ctrkd import tensor as T
+from ctrkd import train as train_module
 from ctrkd.data import EncodedDataset
 from ctrkd.distill import DistillConfig
 from ctrkd.metrics import auc
@@ -206,6 +207,41 @@ def test_a_failure_in_either_share_of_a_split_step_surfaces(monkeypatch, group):
     assert threading.active_count() == threads
 
 
+def test_split_through_the_training_loop_is_bitwise_the_serial_run(monkeypatch):
+    # a DeepFM over four 40,000-row fields: 1.44M elements, row-sparse tables
+    _two_cpus(monkeypatch)
+    dims = FieldDims((40_000,) * 4, 0)
+    rng = np.random.default_rng(26)
+    n = 2000
+    ds = EncodedDataset(rng.integers(0, 40_000, size=(n, 4)).astype(np.int32),
+                        np.zeros((n, 0)), rng.integers(0, 2, size=n).astype(np.float64))
+    hyper = TrainHyper(lr=0.01, batch_size=500, max_epochs=2, patience=None)
+    groups = []  # the number of groups of each Adam built
+    deal = train_module._deal
+
+    def counting_deal(sizes):
+        dealt = deal(sizes)
+        groups.append(len(dealt))
+        return dealt
+
+    monkeypatch.setattr(train_module, "_deal", counting_deal)
+
+    def run():
+        model = Model(ModelSpec.deepfm((8,), embedding_dim=8), dims, seed=4)
+        assert sum(p.size for p in model.parameters()) >= SPLIT_SIZE
+        record = train_teacher(model, ds, hyper, seed=4)
+        return model.state(), [e.loss for e in record.epochs]
+
+    split_state, split_losses = run()
+    monkeypatch.setattr(train_module, "SPLIT_SIZE", 1 << 30)
+    serial_state, serial_losses = run()
+    assert groups == [2, 1]
+    assert split_losses == serial_losses
+    assert split_state.keys() == serial_state.keys()
+    for name, values in split_state.items():
+        assert values.tobytes() == serial_state[name].tobytes(), name
+
+
 @pytest.mark.parametrize("field,value", [
     ("lr", -0.01), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
     ("batch_size", 0), ("max_epochs", -1), ("patience", 0),
@@ -261,6 +297,26 @@ def test_monitor_restores_best_snapshot():
 def test_monitor_rejects_unknown_mode():
     with pytest.raises(ValueError):
         EarlyStopMonitor("loss_goes_brr")
+
+
+@pytest.mark.parametrize("patience", [0, -1])
+def test_monitor_refuses_a_patience_below_one(patience):
+    # a patience of 0 stopped after the first epoch whatever it read
+    with pytest.raises(ValueError, match="patience must be at least 1"):
+        EarlyStopMonitor(VAL_AUC_MAX, patience=patience)
+
+
+@pytest.mark.parametrize("mode", [VAL_AUC_MAX, KD_LOSS_MIN])
+@pytest.mark.parametrize("epoch,bad", [(1, float("nan")), (2, float("nan")), (2, float("inf"))])
+def test_monitor_refuses_a_non_finite_value(mode, epoch, bad):
+    # a NaN at epoch 1 stayed the best value, as nothing compares above it,
+    # and restore brought that epoch back
+    mon = EarlyStopMonitor(mode, patience=2)
+    w = parameter(np.zeros(1), "w")
+    values = [0.3, bad] if epoch == 2 else [bad]
+    with pytest.raises(TrainingDiverged, match=f"at epoch {epoch}"):
+        for e, v in enumerate(values, start=1):
+            mon.update(v, [w], e)
 
 
 # -- training loops ----------------------------------------------------------
