@@ -72,6 +72,9 @@ def _write_status(outdir: str, text: str) -> None:
     _write(os.path.join(outdir, "status.txt"), text + "\n")
 
 
+SPLITS = ("train", "val", "test")
+
+
 @dataclass
 class DataArtifacts:
     dims: FieldDims
@@ -82,12 +85,19 @@ class DataArtifacts:
 
     @classmethod
     def load(cls, outdir: str) -> "DataArtifacts":
+        """The splits and their metadata; a split whose row count is not the
+        one ``data_meta.txt`` records (one from another run) is refused."""
         with open(os.path.join(outdir, "data_meta.txt"), "r", encoding="utf-8") as f:
             meta = parse_kv(f.read())
-        return cls(dims=FieldDims.from_kv(meta), fingerprint=meta["fingerprint"],
-                   train=EncodedDataset.load_npz(os.path.join(outdir, "train.npz")),
-                   val=EncodedDataset.load_npz(os.path.join(outdir, "val.npz")),
-                   test=EncodedDataset.load_npz(os.path.join(outdir, "test.npz")))
+        splits = {}
+        for name in SPLITS:
+            ds = EncodedDataset.load_npz(os.path.join(outdir, f"{name}.npz"))
+            recorded = int(meta[f"rows_{name}"])
+            if len(ds) != recorded:
+                raise ValueError(f"the {name} split has {len(ds)} rows, but data_meta.txt "
+                                 f"records {recorded}: it is not this run's split")
+            splits[name] = ds
+        return cls(dims=FieldDims.from_kv(meta), fingerprint=meta["fingerprint"], **splits)
 
 
 def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
@@ -96,20 +106,19 @@ def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
     os.makedirs(outdir, exist_ok=True)
     rows = read_rows(cfg.resolve_path("data.path"), cfg.schema.delimiter)
     parts = split_rows(rows, cfg.split)
-    for name, part in zip(("train", "val", "test"), parts):
+    for name, part in zip(SPLITS, parts):
         if not part:
             raise ValueError(f"the {name} split has 0 of {len(rows)} rows; "
                              "every split needs at least one row")
     vocab = FeatureVocabulary.build(parts[0], cfg.schema, cfg["data.min_count"])
     _write(os.path.join(outdir, "vocab.tsv"), vocab.text())
     datasets = [encode_rows(part, cfg.schema, vocab) for part in parts]
-    for name, ds in zip(("train", "val", "test"), datasets):
+    for name, ds in zip(SPLITS, datasets):
         ds.save_npz(os.path.join(outdir, f"{name}.npz"))
     dims = FieldDims(vocab.sizes(), len(cfg.schema.numeric_columns))
     fingerprint = vocab.fingerprint()
     meta = [*dims.to_kv().items(), ("fingerprint", fingerprint),
-            ("rows_train", len(datasets[0])), ("rows_val", len(datasets[1])),
-            ("rows_test", len(datasets[2]))]
+            *((f"rows_{name}", len(ds)) for name, ds in zip(SPLITS, datasets))]
     _write(os.path.join(outdir, "data_meta.txt"), format_kv(meta))
     return DataArtifacts(dims, fingerprint, *datasets)
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -470,8 +471,24 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
                 gg = np.expand_dims(gg, axis)
         return np.broadcast_to(gg, a.shape)
 
-    return _from_op(np.sum(a.values, axis=axis, keepdims=keepdims), "reduce_sum",
-                    (a, adjoint))
+    return _from_op(_axis_sum(a.values, axis, keepdims), "reduce_sum", (a, adjoint))
+
+
+def _axis_sum(x: np.ndarray, axis: int | None, keepdims: bool) -> np.ndarray:
+    """``np.sum(x, axis, keepdims=keepdims)``, bit for bit. Over an axis of a
+    C-contiguous array with more than one element after it, numpy adds the
+    axis's slices in order onto 0.0, with an inner loop only as long as the
+    elements after the axis (4 for xDeepFM's pooled maps); whole-slice adds
+    in the same order run about 3x faster. Any other reduction may sum
+    pairwise, so numpy keeps it."""
+    if (axis is None or not x.flags.c_contiguous or x.shape[axis] == 0
+            or math.prod(x.shape[axis + 1:]) < 2):
+        return np.sum(x, axis=axis, keepdims=keepdims)
+    lead = (slice(None),) * axis
+    out = x[lead + (0,)] + 0.0  # -0.0 + 0.0 is 0.0, as numpy's start gives
+    for k in range(1, x.shape[axis]):
+        out += x[lead + (k,)]
+    return np.expand_dims(out, axis) if keepdims else out
 
 
 def _scatter_add(index: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:

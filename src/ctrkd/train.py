@@ -39,8 +39,10 @@ STUDENT_ROLE = 1
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam
 
-# rows per inference batch when scoring a whole split
-PREDICT_BATCH = 8192
+# rows per inference block when scoring a whole split: a block's row-sized
+# arrays stay near a 2 MB L2 cache (DCN's 2,048 x 50 row takes 0.8 MB);
+# smaller blocks pay more per-call overhead than they save
+PREDICT_BATCH = 2048
 
 # parameter elements from which Adam updates on two threads (see Adam)
 SPLIT_SIZE = 1 << 20
@@ -267,13 +269,20 @@ class EarlyStopMonitor:
 
 
 def predict_dataset(model: Model, dataset: EncodedDataset) -> np.ndarray:
-    """Inference-mode probabilities for a whole split; labels untouched."""
-    out = []
+    """Inference-mode probabilities for a whole split; labels untouched.
+
+    The split is scored in blocks of ``PREDICT_BATCH`` rows, and the last
+    block takes the remainder, so it has ``PREDICT_BATCH`` to
+    ``2 * PREDICT_BATCH - 1`` rows; a split of fewer rows, none included,
+    is one block. BLAS runs the last ``B % 4`` rows of a B-row batch on
+    another kernel path, and that is the only way a row's bits depend on
+    its batch. Every block but the last has a multiple of 4 rows, and the
+    last holds the split's last ``n % 4`` rows, so every row gets the bits
+    of one ``predict_proba`` over the whole split."""
     n = len(dataset)
-    for start in range(0, n, PREDICT_BATCH):
-        stop = min(start + PREDICT_BATCH, n)
-        out.append(model.predict_proba(dataset.cat[start:stop], dataset.num[start:stop]))
-    return np.concatenate(out)
+    starts = range(0, max(n // PREDICT_BATCH, 1) * PREDICT_BATCH, PREDICT_BATCH)
+    return np.concatenate([model.predict_proba(dataset.cat[a:b], dataset.num[a:b])
+                           for a, b in zip(starts, [*starts[1:], n])])
 
 
 def evaluate_model(model: Model, dataset: EncodedDataset) -> tuple[float, float]:

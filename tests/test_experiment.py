@@ -65,6 +65,23 @@ def test_preprocess_writes_artifacts(tmp_path):
     assert reloaded.fingerprint == art.fingerprint
 
 
+def test_a_split_from_another_run_is_refused(tmp_path):
+    ours, other = tmp_path / "ours", tmp_path / "other"
+    ours.mkdir()
+    other.mkdir()
+    cfg = load_cfg(tiny_config(ours))
+    art = experiment.stage_preprocess(cfg)
+    other_art = experiment.stage_preprocess(load_cfg(tiny_config(other, rows=500)))
+    assert len(other_art.val) != len(art.val)
+    (other / "out" / "val.npz").replace(ours / "out" / "val.npz")
+    message = f"the val split has {len(other_art.val)} rows, but data_meta.txt records {len(art.val)}"
+    with pytest.raises(ValueError, match=message):
+        experiment.DataArtifacts.load(cfg.output_dir)
+    with pytest.raises(experiment.StageError, match=message):
+        experiment.run_stage("teachers", cfg)
+    assert not (ours / "out" / "teachers").exists()
+
+
 def test_run_produces_report_with_expected_cardinality(tmp_path):
     cfg = load_cfg(tiny_config(tmp_path, seeds="1,2,3"))
     report = experiment.run(cfg)

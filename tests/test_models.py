@@ -7,7 +7,7 @@ from ctrkd import tensor as T
 from ctrkd.data import EncodedDataset
 from ctrkd.models import PRESETS, WIDE_KINDS, FieldDims, Model, ModelSpec, spec_from_preset
 from ctrkd.tensor import sigmoid_values
-from ctrkd.train import TrainHyper, train_teacher
+from ctrkd.train import PREDICT_BATCH, TrainHyper, predict_dataset, train_teacher
 
 from gradcheck import check_grads
 
@@ -409,8 +409,9 @@ def test_field_row_takes_the_fm_and_cin_row_adjoint_one_field_at_a_time(monkeypa
 
 
 def test_a_row_gets_its_chunk_logit_in_any_batch_of_a_multiple_of_four_rows():
-    # Logits inferred once over 8192-row chunks can stand for those of the
-    # training batches only if a row's logit does not depend on its batch.
+    # Logits inferred once over a whole 8192-row split can stand for those of
+    # the training batches, or of predict_dataset's blocks, only if a row's
+    # logit does not depend on its batch.
     # BLAS runs the last (B mod 4) rows of a product through another kernel
     # path, so only batches of a multiple of 4 rows are pinned; the tail rows
     # of other batches may differ in the last bits.
@@ -430,6 +431,56 @@ def test_a_row_gets_its_chunk_logit_in_any_batch_of_a_multiple_of_four_rows():
                 rows = rng.choice(chunk, size=size, replace=False)
                 batch = model.logit_values(cat[rows], num[rows])
                 assert batch.tobytes() == whole[rows].tobytes(), (name, size)
+
+
+def _preset_split(n, seed=8):
+    dims = FieldDims((50, 40, 30, 20, 10, 5), 3)
+    rng = np.random.default_rng(seed)
+    cat = np.stack([rng.integers(0, v, size=n) for v in dims.vocab_sizes], axis=1)
+    return dims, EncodedDataset(cat, rng.normal(size=(n, dims.n_numeric)), np.zeros(n))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_predict_dataset_is_one_predict_proba_over_the_split(name):
+    dims, split = _preset_split(10001)
+    rng = np.random.default_rng(9)
+    model = Model(spec_from_preset(name, embedding_dim=4, hidden=(16, 8), cin_maps=(3, 2)),
+                  dims, seed=2)
+    for p in model.parameters():  # the LR and FM linear parts start at zero
+        p.values += rng.normal(scale=0.1, size=p.shape)
+    for n in (1, 3, 2047, 2048, 2049, 4095, 4097, 8193, 10001):
+        part = split.subset(np.arange(n))
+        got = predict_dataset(model, part)
+        assert got.tobytes() == model.predict_proba(part.cat, part.num).tobytes(), n
+
+
+def test_predict_dataset_scores_blocks_of_at_least_predict_batch_rows(monkeypatch):
+    assert PREDICT_BATCH == 2048
+    dims, split = _preset_split(3 * PREDICT_BATCH + 5)
+    model = Model(ModelSpec.lr(), dims, seed=0)
+    sizes = []
+    score = Model.predict_proba
+
+    def record(self, cat, num):
+        sizes.append(len(cat))
+        return score(self, cat, num)
+
+    monkeypatch.setattr(Model, "predict_proba", record)
+    for n, blocks in [(1, [1]), (2047, [2047]), (2048, [2048]), (2049, [2049]),
+                      (4095, [4095]), (4096, [2048, 2048]), (4097, [2048, 2049]),
+                      (3 * 2048 + 5, [2048, 2048, 2053])]:
+        sizes.clear()
+        assert len(predict_dataset(model, split.subset(np.arange(n)))) == n
+        assert sizes == blocks, n
+
+
+def test_predict_dataset_of_no_rows_is_empty():
+    dims, split = _preset_split(0)
+    for name in PRESETS:
+        model = Model(spec_from_preset(name, embedding_dim=4, hidden=(8,), cin_maps=(2,)),
+                      dims, seed=1)
+        out = predict_dataset(model, split)
+        assert out.dtype == np.float64 and out.shape == (0,), name
 
 
 def test_predict_sigmoid_mapping():

@@ -87,6 +87,38 @@ def test_reduce_sum_backward_broadcasts():
     np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(2000, 8, 4), (7, 1, 3), (7, 2, 3), (5, 2, 1),
+                                   (6, 40, 1), (6, 40, 2), (1, 130, 3), (3, 5, 2, 4),
+                                   (4, 9, 1, 1), (0, 3, 4), (3, 0, 4)])
+def test_reduce_sum_over_a_middle_axis_is_bitwise_np_sum(shape):
+    # magnitudes over 16 decades make the summation order show in the bits;
+    # a slice of all -0.0 sums to +0.0 from numpy's start value
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    x[:1] = -0.0
+    # the last layout keeps axis 1 innermost in memory, where numpy sums pairwise
+    inner = np.swapaxes(np.swapaxes(x, 1, -1).copy(), 1, -1)
+    for values in (x, np.asfortranarray(x), x[::-1], inner):
+        for axis in range(1, len(shape) - 1):
+            for keepdims in (False, True):
+                want = np.sum(values, axis=axis, keepdims=keepdims)
+                got = T.reduce_sum(Tensor(values), axis=axis, keepdims=keepdims).values
+                with T.no_grad():
+                    again = T.reduce_sum(Tensor(values), axis=axis, keepdims=keepdims).values
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert again.tobytes() == want.tobytes()
+
+
+def test_reduce_sum_over_a_middle_axis_gradcheck():
+    rng = np.random.default_rng(3)
+    w = parameter(rng.normal(size=(3, 4, 2)), "w")
+    for keepdims in (False, True):
+        mix = Tensor(rng.normal(size=(3, 1, 2) if keepdims else (3, 2)))
+        check_grads(lambda: T.reduce_sum(T.square(T.mul(
+            T.reduce_sum(w, axis=1, keepdims=keepdims), mix))), [w], tol=1e-6)
+
+
 def test_dropout_rate_zero_and_eval_are_identity():
     t = Tensor(np.ones((3, 3)))
     assert T.dropout(t, 0.0, training=True, rng=np.random.default_rng(0)) is t
