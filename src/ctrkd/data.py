@@ -1,25 +1,31 @@
-"""Feature pipeline: raw click logs -> vocabularies -> encoded batches.
+"""Feature pipeline: raw click logs -> columns -> vocabularies -> encoded batches.
 
 Raw input is header-less delimited text (tab or comma), one column per
-field plus a binary label column. Categorical tokens below a frequency
-threshold collapse to the reserved UNK index 0; numeric values x > 2 are
-squashed to (ln x)^2. Vocabularies are built on the training partition
-only and frozen afterwards.
+field plus a binary label column. ``read_rows`` parses the file a chunk of
+lines at a time into a ``RawTable`` of columns, checking every row as it
+goes; ``split_rows`` selects the train, val and test rows by index.
+Categorical tokens below a frequency threshold collapse to the reserved UNK
+index 0; numeric values x > 2 are squashed to (ln x)^2. Vocabularies are
+built on the training partition only and frozen afterwards.
 """
 from __future__ import annotations
 
 import contextlib
 import gzip
 import hashlib
+import itertools
 import math
 import os
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 UNK_INDEX = 0
+# lines read_rows reads and parses at a time: it holds one chunk of rows as
+# strings, besides the table's column arrays
+_CHUNK_ROWS = 2048
+_BINARY = {"0": 0.0, "1": 1.0}
 
 
 @contextlib.contextmanager
@@ -62,16 +68,133 @@ class TableSchema:
         self.delimiter = delimiter
 
 
-def read_rows(path, delimiter: str = "\t") -> list[list[str]]:
-    """Read a delimited text file (gzip by .gz suffix) into column lists."""
+@dataclass(frozen=True)
+class RawTable:
+    """The rows of a raw file as columns, as ``read_rows`` parsed them.
+
+    ``lines`` holds each row's 1-based line in the file, ``labels`` its label
+    and ``num`` its numeric columns in column order, missing and negative
+    values already 0 but not yet squashed. ``codes[:, j]`` indexes
+    ``tokens[j]``, the token list of the j-th field of
+    ``schema.categorical_fields``; a field's codes number its tokens in the
+    order they first appear in the file. ``days`` codes ``day_column`` the
+    same way when the table was read for a sequential split, and ``n_days``
+    counts its distinct days.
+    """
+
+    lines: np.ndarray    # (n,) int64
+    labels: np.ndarray   # (n,) float64
+    num: np.ndarray      # (n, n_numeric) float64
+    codes: np.ndarray    # (n, n_categorical) int32
+    tokens: tuple[list[str], ...]
+    day_column: int | None = None
+    days: np.ndarray | None = None  # (n,) int32
+    n_days: int = 0
+
+    def __len__(self) -> int:
+        return self.lines.shape[0]
+
+    def take(self, index: np.ndarray) -> "RawTable":
+        """The rows at ``index``, in that order; the token lists are shared."""
+        return replace(self, lines=self.lines[index], labels=self.labels[index],
+                       num=self.num[index], codes=self.codes[index],
+                       days=None if self.days is None else self.days[index])
+
+
+def read_rows(path, schema: TableSchema, day_column: int | None = None) -> RawTable:
+    """Read a delimited text file (gzip by .gz suffix) into a ``RawTable``.
+
+    The file is read and parsed ``_CHUNK_ROWS`` lines at a time, so no list
+    of all its rows is ever built. Blank lines are skipped but counted in
+    the line numbers. ``day_column``, when given, is coded for a sequential
+    split. The first faulty line in file order is refused with an error
+    naming that line, the column and the token: a row with fewer columns
+    than the schema or without the day column, a label other than ``0`` or
+    ``1``, or a numeric that is not a finite number. Within one line the
+    label comes first, then the numeric columns from left to right.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
-    rows = []
     with opener(path, "rt", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\r\n")
-            if line:
-                rows.append(line.split(delimiter))
-    return rows
+        return _read_lines(f, schema, day_column)
+
+
+def _read_lines(lines: Iterable[str], schema: TableSchema,
+                day_column: int | None = None) -> RawTable:
+    """``read_rows`` over any iterable of lines, the first being line 1."""
+    fields = [{} for _ in schema.categorical_fields]  # per field: token -> code
+    days = {}
+    chunks = []
+    lines = iter(lines)
+    first = 1
+    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+        rows = [line.rstrip("\r\n").split(schema.delimiter) for line in chunk]
+        numbers = np.arange(first, first + len(rows))
+        if [""] in rows:  # only a blank line splits into [""]
+            kept = [i for i, row in enumerate(rows) if row != [""]]
+            rows, numbers = [rows[i] for i in kept], numbers[kept]
+        chunks.append(_parse_chunk(rows, numbers, schema, day_column, fields, days))
+        first += len(chunk)
+    # a chunk of no rows gives every column its dtype and shape in an empty file
+    none = _parse_chunk([], np.empty(0, np.int64), schema, day_column, fields, days)
+    numbers, labels, num, codes, day_codes = (np.concatenate(c) for c in zip(none, *chunks))
+    return RawTable(numbers, labels, num, codes, tuple(list(f) for f in fields),
+                    day_column, None if day_column is None else day_codes, len(days))
+
+
+class _CellError(ValueError):
+    """A refused cell; ``row`` indexes the cells of one column."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _parse_chunk(rows: list[list[str]], numbers: np.ndarray, schema: TableSchema,
+                 day_column: int | None, fields: list[dict], days: dict):
+    """Column arrays ``(numbers, labels, num, codes, day codes)`` of one chunk
+    of split lines, whose file lines are ``numbers``. New tokens join
+    ``fields`` and new days ``days``. The first faulty row is refused."""
+    width = schema.n_columns if day_column is None else max(schema.n_columns, day_column + 1)
+    short = None
+    if rows and min(map(len, rows)) < width:
+        short = next(i for i, row in enumerate(rows) if len(row) < width)
+        short_row, rows = rows[short], rows[:short]  # a fault on an earlier line comes first
+    n = len(rows)
+    columns = list(zip(*rows)) if rows else [()] * width
+    faults = []  # (row, rank within the row, column, message)
+    labels = columns[schema.label_column]
+    if not set(labels).issubset(_BINARY):
+        i = next(i for i, token in enumerate(labels) if token not in _BINARY)
+        faults.append((i, -1, schema.label_column, f"label {labels[i]!r} is not binary"))
+    num = np.empty((n, len(schema.numeric_columns)))
+    for j, column in enumerate(schema.numeric_columns):
+        try:
+            num[:, j] = _parse_numeric_column(columns[column])
+        except _CellError as err:
+            faults.append((err.row, j, column, str(err)))
+    if faults:
+        i, _, column, message = min(faults)
+        raise ValueError(f"line {numbers[i]}, column {column}: {message}")
+    if short is not None:
+        line, k = numbers[short], len(short_row)
+        if k < schema.n_columns:
+            raise ValueError(f"line {line} has {k} columns, schema needs {schema.n_columns}: "
+                             f"column {k} is missing")
+        raise ValueError(f"line {line} has {k} columns: day column {day_column} is missing")
+    codes = np.empty((n, len(fields)), dtype=np.int32)
+    for j, (_, column) in enumerate(schema.categorical_fields):
+        codes[:, j] = _code(columns[column], fields[j])
+    day_codes = _code(columns[day_column] if day_column is not None else (), days)
+    return (numbers, np.fromiter(map(_BINARY.__getitem__, labels), np.float64, n), num,
+            codes, day_codes)
+
+
+def _code(tokens: Sequence[str], codes: dict) -> np.ndarray:
+    """``tokens`` as int32 codes, giving each token not yet in ``codes`` the
+    next code, in order of first appearance."""
+    fresh = [token for token in dict.fromkeys(tokens) if token not in codes]
+    codes.update(zip(fresh, itertools.count(len(codes))))
+    return np.fromiter(map(codes.__getitem__, tokens), np.int32, len(tokens))
 
 
 def transform_numeric(x: np.ndarray) -> np.ndarray:
@@ -93,6 +216,28 @@ def _parse_numeric(token: str) -> float:
     return 0.0 if value < 0 else value
 
 
+def _parse_numeric_column(tokens: Sequence[str]) -> np.ndarray:
+    """``_parse_numeric`` over a column of tokens, in one ``np.array`` call:
+    numpy parses a ``str`` as ``float`` does. Only a column that call
+    refuses, or that holds a non-finite value, goes through the per-cell
+    loop, which raises ``_CellError`` at its first faulty cell."""
+    try:
+        values = np.array([t or "0" for t in tokens] if "" in tokens else tokens,
+                          dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        values[values < 0] = 0.0  # keeps -0.0, as _parse_numeric does
+        return values
+    values = np.empty(len(tokens))
+    for i, token in enumerate(tokens):
+        try:
+            values[i] = _parse_numeric(token)
+        except ValueError as err:
+            raise _CellError(i, str(err)) from None
+    return values
+
+
 def _escape(token: str) -> str:
     return token.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
@@ -109,15 +254,17 @@ class FeatureVocabulary:
         self.mapping = mapping
 
     @classmethod
-    def build(cls, rows: Sequence[Sequence[str]], schema: TableSchema,
+    def build(cls, table: RawTable, schema: TableSchema,
               min_count: int) -> "FeatureVocabulary":
-        if not rows:
+        """Keep each field's tokens that occur at least ``min_count`` times
+        in ``table``, the training rows: a count of its codes."""
+        if not len(table):
             raise ValueError("cannot build a vocabulary from zero rows")
-        _check_width(rows, schema.n_columns)
         mapping = {}
-        for name, column in schema.categorical_fields:
-            counts = Counter(row[column] for row in rows)
-            kept = sorted(t for t, c in counts.items() if c >= min_count)
+        for j, (name, _) in enumerate(schema.categorical_fields):
+            tokens = table.tokens[j]
+            counts = np.bincount(table.codes[:, j], minlength=len(tokens))
+            kept = sorted(tokens[k] for k in np.flatnonzero(counts >= max(min_count, 1)))
             mapping[name] = {tok: i + 1 for i, tok in enumerate(kept)}
         return cls(mapping)
 
@@ -200,40 +347,21 @@ class EncodedDataset:
             return cls(z["cat"], z["num"], z["labels"])
 
 
-def _check_width(rows: Sequence[Sequence[str]], width: int) -> None:
-    for i, row in enumerate(rows):
-        if len(row) < width:
-            raise ValueError(f"row {i} has {len(row)} columns, schema needs {width}: "
-                             f"column {len(row)} is missing")
-
-
-def encode_rows(rows: Sequence[Sequence[str]], schema: TableSchema,
+def encode_rows(table: RawTable, schema: TableSchema,
                 vocab: FeatureVocabulary) -> EncodedDataset:
-    """Map raw rows to index/value arrays using a frozen vocabulary, one
-    column at a time: every row's width is checked first, then the labels,
-    then each categorical and each numeric column in turn."""
-    n = len(rows)
-    _check_width(rows, schema.n_columns)
-    binary = {"0": 0.0, "1": 1.0}
-    labels = [binary.get(row[schema.label_column]) for row in rows]
-    if None in labels:
-        i = labels.index(None)
-        raise ValueError(f"row {i}: label {rows[i][schema.label_column]!r} is not binary")
-    cat = np.empty((n, len(schema.categorical_fields)), dtype=np.int32)
-    for j, (name, column) in enumerate(schema.categorical_fields):
-        get = vocab.mapping[name].get
-        cat[:, j] = np.fromiter((get(row[column], UNK_INDEX) for row in rows),
-                                dtype=np.int32, count=n)
-    num = np.empty((n, len(schema.numeric_columns)), dtype=np.float64)
-    values = np.empty(n, dtype=np.float64)
-    for j, column in enumerate(schema.numeric_columns):
-        for i, row in enumerate(rows):
-            try:
-                values[i] = _parse_numeric(row[column])
-            except ValueError as err:
-                raise ValueError(f"row {i}, column {column}: {err}") from None
-        num[:, j] = transform_numeric(values)
-    return EncodedDataset(cat, num, labels)
+    """Map a table's rows to index/value arrays using a frozen vocabulary:
+    each categorical field's codes go through one lookup array, and each
+    numeric column through ``transform_numeric``."""
+    cat = np.empty((len(table), len(schema.categorical_fields)), dtype=np.int32)
+    for j, (name, _) in enumerate(schema.categorical_fields):
+        tokens = table.tokens[j]
+        lookup = np.fromiter(map(vocab.mapping[name].get, tokens, itertools.repeat(UNK_INDEX)),
+                             np.int32, len(tokens))
+        cat[:, j] = lookup[table.codes[:, j]]
+    num = np.empty_like(table.num)
+    for j in range(num.shape[1]):
+        num[:, j] = transform_numeric(table.num[:, j])
+    return EncodedDataset(cat, num, table.labels)
 
 
 @dataclass(frozen=True)
@@ -259,40 +387,37 @@ class SequentialSplit:
             raise ValueError("sequential split needs at least one training day")
 
 
-def split_rows(rows: Sequence, strategy) -> tuple[list, list, list]:
-    """Deterministic disjoint+exhaustive train/val/test partition of rows."""
+def split_rows(table: RawTable, strategy) -> tuple[RawTable, RawTable, RawTable]:
+    """Deterministic disjoint+exhaustive train/val/test partition of a
+    table's rows, each part in file order."""
     if isinstance(strategy, RandomRatioSplit):
-        return _split_random(rows, strategy)
-    if isinstance(strategy, SequentialSplit):
-        return _split_sequential(rows, strategy)
-    raise TypeError(f"unknown split strategy {strategy!r}")
+        parts = _split_random(len(table), strategy)
+    elif isinstance(strategy, SequentialSplit):
+        parts = _split_sequential(table, strategy)
+    else:
+        raise TypeError(f"unknown split strategy {strategy!r}")
+    return tuple(table.take(part) for part in parts)
 
 
-def _split_random(rows, strategy: RandomRatioSplit):
+def _split_random(n: int, strategy: RandomRatioSplit):
     r = strategy.ratios
-    n = len(rows)
     perm = np.random.default_rng(strategy.seed).permutation(n)
     b1 = math.floor(n * r[0] + 0.5)
     b2 = math.floor(n * (r[0] + r[1]) + 0.5)
-    parts = (np.sort(perm[:b1]), np.sort(perm[b1:b2]), np.sort(perm[b2:]))
-    return tuple([rows[i] for i in part] for part in parts)
+    return np.sort(perm[:b1]), np.sort(perm[b1:b2]), np.sort(perm[b2:])
 
 
-def _split_sequential(rows, strategy: SequentialSplit):
-    day_of_row = []
-    for i, row in enumerate(rows):
-        if strategy.day_column >= len(row):
-            raise ValueError(f"row {i} has no day column {strategy.day_column}")
-        day_of_row.append(row[strategy.day_column])
-    days_in_order = list(dict.fromkeys(day_of_row))  # first-appearance order
-    if len(days_in_order) <= strategy.train_days:
-        raise ValueError(f"found {len(days_in_order)} days, need more than "
+def _split_sequential(table: RawTable, strategy: SequentialSplit):
+    if table.day_column != strategy.day_column:
+        raise ValueError(f"the table was not read with day column {strategy.day_column}")
+    if table.n_days <= strategy.train_days:
+        raise ValueError(f"found {table.n_days} days, need more than "
                          f"train_days={strategy.train_days} to form a tail")
-    train_set = set(days_in_order[:strategy.train_days])
-    train = [r for r, d in zip(rows, day_of_row) if d in train_set]
-    tail = [r for r, d in zip(rows, day_of_row) if d not in train_set]
+    # day codes follow first appearance, so the first train_days days train
+    in_train = table.days < strategy.train_days
+    tail = np.flatnonzero(~in_train)
     half = len(tail) // 2
-    return train, tail[:half], tail[half:]
+    return np.flatnonzero(in_train), tail[:half], tail[half:]
 
 
 def batches(dataset: EncodedDataset, batch_size: int, seed):

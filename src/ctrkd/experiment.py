@@ -19,8 +19,8 @@ import numpy as np
 from . import persist
 from .config import (KD_STUDENT, PLAIN_STUDENT, TEACHERS_AVG, ExperimentConfig,
                      format_kv, parse_kv)
-from .data import (EncodedDataset, FeatureVocabulary, encode_rows, read_rows, replacing,
-                   split_rows)
+from .data import (EncodedDataset, FeatureVocabulary, SequentialSplit, encode_rows, read_rows,
+                   replacing, split_rows)
 from .distill import COTRAIN, PRETRAIN
 from .metrics import auc, logloss
 from .models import FieldDims, Model
@@ -101,18 +101,22 @@ class DataArtifacts:
 
 
 def stage_preprocess(cfg: ExperimentConfig) -> DataArtifacts:
-    """Read raw rows, split, build the vocabulary on train only, encode."""
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    rows = read_rows(cfg.resolve_path("data.path"), cfg.schema.delimiter)
-    parts = split_rows(rows, cfg.split)
+    """Read the raw file, split it, build the vocabulary on train only and
+    encode every split. Every raw-input fault is raised while reading, and
+    every empty split before the vocabulary: before any file is written."""
+    split = cfg.split
+    table = read_rows(cfg.resolve_path("data.path"), cfg.schema,
+                      split.day_column if isinstance(split, SequentialSplit) else None)
+    parts = split_rows(table, split)
     for name, part in zip(SPLITS, parts):
-        if not part:
-            raise ValueError(f"the {name} split has 0 of {len(rows)} rows; "
+        if not len(part):
+            raise ValueError(f"the {name} split has 0 of {len(table)} rows; "
                              "every split needs at least one row")
     vocab = FeatureVocabulary.build(parts[0], cfg.schema, cfg["data.min_count"])
-    _write(os.path.join(outdir, "vocab.tsv"), vocab.text())
     datasets = [encode_rows(part, cfg.schema, vocab) for part in parts]
+    outdir = cfg.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    _write(os.path.join(outdir, "vocab.tsv"), vocab.text())
     for name, ds in zip(SPLITS, datasets):
         ds.save_npz(os.path.join(outdir, f"{name}.npz"))
     dims = FieldDims(vocab.sizes(), len(cfg.schema.numeric_columns))

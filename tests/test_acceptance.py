@@ -357,11 +357,16 @@ def test_pipeline_fidelity_against_scripted_oracle(tmp_path):
     write_synthetic_file(fixture, 10_000, seed=42, spec=spec)
     schema = parse_config_text("data.format = criteo\n").schema
     from ctrkd.data import read_rows
-    rows = read_rows(fixture, "\t")
-    assert len(rows) == 10_000
+    table = read_rows(fixture, schema)
+    assert len(table) == 10_000
+    # the oracle reads the fixture itself, one row per line
+    with open(fixture, encoding="utf-8") as f:
+        rows = [line.rstrip("\n").split("\t") for line in f]
 
     strategy = RandomRatioSplit((0.8, 0.1, 0.1), seed=77)
-    train_rows, val_rows, test_rows = split_rows(rows, strategy)
+    parts = split_rows(table, strategy)
+    train_rows, val_rows, test_rows = ([rows[line - 1] for line in part.lines]
+                                       for part in parts)
     assert (len(train_rows), len(val_rows), len(test_rows)) == (8000, 1000, 1000)
     key = lambda r: "\t".join(r)
     all_keys = sorted(map(key, rows))
@@ -369,9 +374,9 @@ def test_pipeline_fidelity_against_scripted_oracle(tmp_path):
     assert all_keys == part_keys  # disjoint and exhaustive
 
     min_count = 10
-    vocab = FeatureVocabulary.build(train_rows, schema, min_count)
-    encoded_train = encode_rows(train_rows, schema, vocab)
-    encoded_test = encode_rows(test_rows, schema, vocab)
+    vocab = FeatureVocabulary.build(parts[0], schema, min_count)
+    encoded_train = encode_rows(parts[0], schema, vocab)
+    encoded_test = encode_rows(parts[2], schema, vocab)
 
     # independent single-pass frequency oracle over the raw training rows
     for j, (name, column) in enumerate(schema.categorical_fields):

@@ -196,6 +196,23 @@ def test_cli_run_refuses_an_empty_split_before_any_teacher(tmp_path, capsys):
     assert not (out / "vocab.tsv").exists()
 
 
+def test_cli_run_refuses_a_bad_raw_value_before_writing_any_file(tmp_path, capsys):
+    # a bad numeric on the last line, behind a blank first line: the
+    # vocabulary is built before any row outside train is encoded
+    path = tiny_config(tmp_path)
+    data = tmp_path / "clicks.txt"
+    lines = data.read_text().splitlines()
+    cells = lines[-1].split("\t")
+    cells[2] = "x1"
+    data.write_text("\n".join(["", *lines[:-1], "\t".join(cells)]) + "\n")
+    assert cli.main(["run", "-c", str(path)]) == 1
+    assert "line 601, column 2: could not convert string to float: 'x1'" in \
+        capsys.readouterr().err
+    out = tmp_path / "out"
+    assert os.listdir(out) == ["status.txt"]
+    assert (out / "status.txt").read_text().strip() == "failed: preprocess"
+
+
 def test_default_teacher_stage_is_mode_m(tmp_path):
     # no ensemble key at all trains what ensemble.mode = M alone trains
     outputs = []

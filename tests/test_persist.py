@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctrkd import persist
-from ctrkd.data import FeatureVocabulary, TableSchema
+from ctrkd.data import FeatureVocabulary, TableSchema, read_rows
 from ctrkd.models import FieldDims, Model, ModelSpec, spec_from_preset
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "v1_adam.ckpt")
@@ -86,10 +86,10 @@ def test_version_mismatch():
 
 def test_fingerprint_refusal(tmp_path):
     schema = TableSchema(0, categorical_columns=(1,))
-    rows_a = [["0", "x"], ["1", "y"], ["0", "x"], ["1", "y"]]
-    rows_b = [["0", "x"], ["1", "z"], ["0", "x"], ["1", "z"]]
-    vocab_a = FeatureVocabulary.build(rows_a, schema, min_count=1)
-    vocab_b = FeatureVocabulary.build(rows_b, schema, min_count=1)
+    (tmp_path / "a.txt").write_text("0\tx\n1\ty\n0\tx\n1\ty\n")
+    (tmp_path / "b.txt").write_text("0\tx\n1\tz\n0\tx\n1\tz\n")
+    vocab_a = FeatureVocabulary.build(read_rows(tmp_path / "a.txt", schema), schema, min_count=1)
+    vocab_b = FeatureVocabulary.build(read_rows(tmp_path / "b.txt", schema), schema, min_count=1)
     assert vocab_a.fingerprint() != vocab_b.fingerprint()
 
     model = Model(ModelSpec.lr(), FieldDims((3,), 0), seed=0)
